@@ -458,27 +458,34 @@ def bruhat_leq(u: ExtAffineElt, w: ExtAffineElt) -> bool:
 
 
 def _bruhat_wa(u: ExtAffineElt, w: ExtAffineElt) -> bool:
-    key = (u.datum, u.key(), w.key())
-    cached = _BRUHAT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    lu, lw = length(u), length(w)
-    if lu > lw:
-        result = False
-    elif lw == 0:
-        result = u.is_identity()
-    elif u.is_identity():
-        result = True
-    else:
-        gens = coxeter_generators(w.datum)
+    """Lifting property (Bjorner-Brenti, Prop. 2.2.7) as a loop: for a left
+    descent s of w, u <= w iff min(u, su) <= sw.  Every pair on the way has
+    the same answer and is memoised with it."""
+    gens = coxeter_generators(w.datum)
+    visited = []
+    while True:
+        key = (u.datum, u.key(), w.key())
+        result = _BRUHAT_CACHE.get(key)
+        if result is not None:
+            break
+        visited.append(key)
+        lu, lw = length(u), length(w)
+        if lu > lw:
+            result = False
+            break
+        if lw == 0:
+            result = u.is_identity()
+            break
+        if u.is_identity():
+            result = True
+            break
         s = gens[_first_left_descent(w)][1]
-        sw = s * w
         su = s * u
         if length(su) < lu:
-            result = _bruhat_wa(su, sw)
-        else:
-            result = _bruhat_wa(u, sw)
-    _BRUHAT_CACHE[key] = result
+            u = su
+        w = s * w
+    for key in visited:
+        _BRUHAT_CACHE[key] = result
     return result
 
 

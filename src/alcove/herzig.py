@@ -23,6 +23,7 @@ from .affine_weyl import (
     is_dominant_elt,
     is_restricted_elt,
     p_dot,
+    restricted_reps,
     simple_reflection,
     w0_element,
     wh_element,
@@ -43,6 +44,7 @@ from .weights_dl import (
     DLPresentation,
     SerrePresentation,
     SerreWeight,
+    _require_depth,
     c0_presentations,
     d_sigma,
     jh_outer,
@@ -70,26 +72,13 @@ class TameParam:
         return self.elt.datum
 
     def lowest_alcove_depth(self) -> int | None:
-        datum = self.datum
-        shifted = self.elt.trans - datum.eta()
-        if not in_lowest_alcove(datum, shifted):
-            return None
-        return depth_of(datum, shifted)
+        return self.as_dl().lowest_alcove_depth()
 
     def as_dl(self) -> DLPresentation:
         return DLPresentation(self.elt)
 
     def to_json(self) -> dict:
         return self.elt.to_json()
-
-
-def _require_depth(tau: TameParam, depth: int, what: str) -> None:
-    given = tau.lowest_alcove_depth()
-    if given is None or given < depth:
-        raise DepthError(
-            f"{what} requires the given presentation of the tame parameter to "
-            f"be {depth}-deep over the lowest alcove (found {given})"
-        )
 
 
 def herzig_twist(sigma: SerreWeight) -> SerreWeight:
@@ -120,7 +109,6 @@ def wset_with_presentations(
         return cached
     eta = datum.eta()
     out: dict[SerreWeight, SerrePresentation] = {}
-    from .affine_weyl import restricted_reps
 
     for rep in restricted_reps(datum):
         top = w0_element(datum) * rep
@@ -164,7 +152,6 @@ def wobv_with_presentations(
         return cached
     eta = datum.eta()
     out: dict[SerreWeight, SerrePresentation] = {}
-    from .affine_weyl import restricted_reps
 
     for rep in restricted_reps(datum):
         z = tau.elt * rep.inverse()
@@ -370,7 +357,6 @@ def enumerate_edges(tau: TameParam) -> list[ConnectionEdge]:
     members = wset(tau)
     w0 = w0_element(datum)
     wh_inv = wh_element(datum).inverse()
-    from .affine_weyl import restricted_reps
 
     edges = []
     for alpha in datum.simple_roots():

@@ -22,6 +22,15 @@ from . import affine_weyl as aw
 from . import herzig as hz
 from . import weights_dl as wd
 from .affine_weyl import ExtAffineElt
+# c0_presentations_by_scan is imported for callers: the oracle's reference
+# for the fast presentation solve
+from .presentation_scan import (
+    SCAN_BUDGET,
+    c0_presentations_by_scan,
+    compare_with_scan,
+    eta_c0_weights,
+    scan_size,
+)
 from .root_data import (
     BudgetError,
     InconclusiveRegionError,
@@ -526,7 +535,7 @@ def _sweep_zero_gen(datum: RootDatum, config: SweepConfig, res: SweepResult) -> 
         R_mu = wd.DLPresentation(tau.elt)
         # the root-lattice congruence classes over the lowest alcove are
         # exactly the degree-pinned grid
-        grid = wd.eta_c0_weights(datum, 0, mu.degrees())
+        grid = eta_c0_weights(datum, 0, mu.degrees())
         if len(grid) > 12:
             grid = rng.sample(grid, 12)
         candidates: list[WeightVec] = [mu] + [lam for lam in grid if lam != mu]
@@ -555,6 +564,22 @@ def _sweep_zero_gen(datum: RootDatum, config: SweepConfig, res: SweepResult) -> 
                             "equal": same,
                         }
                     )
+
+
+def _sweep_presentations(datum: RootDatum, config: SweepConfig, res: SweepResult) -> None:
+    """The bounded solve of c0_presentations against the pattern scan, on
+    0-deep parameters and on arbitrary elements (see
+    :func:`alcove.presentation_scan.compare_with_scan`); skipped where the
+    scan is too large to run."""
+    size = scan_size(datum)
+    if size > SCAN_BUDGET:
+        raise BudgetError(
+            f"the reference scan would test {size} candidates per "
+            f"representation (budget {SCAN_BUDGET})"
+        )
+    rng = random.Random(config.seed + 10)
+    for tau in _deep_tau_samples(datum, config.tau_samples, 0, rng):
+        compare_with_scan(tau.as_dl(), rng, res)
 
 
 def _sweep_jh_paths(datum: RootDatum, config: SweepConfig, res: SweepResult) -> None:
@@ -839,6 +864,7 @@ _SWEEPS = {
     "subregular": _sweep_subregular,
     "reduced_factorizations": _sweep_reduced_factorizations,
     "zero_gen": _sweep_zero_gen,
+    "presentations": _sweep_presentations,
     "jh_paths": _sweep_jh_paths,
     "herzig_dual": _sweep_herzig_dual,
     "obvweight": _sweep_obvweight,

@@ -304,75 +304,63 @@ def dl_equal(r1: DLPresentation, r2: DLPresentation) -> bool:
     return False
 
 
-_PATTERN_CACHE: dict[tuple, tuple] = {}
+def _forced_row(p: int, min_depth: int, c: list[int]) -> tuple[int, ...] | None:
+    """The integer row x, normalized to last entry 0, with c + p x
+    min_depth-deep over the lowest alcove, or None if there is none.
+
+    Every gap of c + p x must exceed min_depth while the gaps sum to less
+    than p - min_depth, so raising one difference of x by 1 would alone break
+    the bound: each difference is forced to its least admissible value.
+    """
+    n = len(c)
+    row = [0] * n
+    spread = 0
+    for i in range(n - 2, -1, -1):
+        gap = c[i] - c[i + 1]
+        d = (min_depth - gap) // p + 1
+        row[i] = row[i + 1] + d
+        spread += gap + p * d
+    return tuple(row) if spread < p - min_depth else None
 
 
-def _difference_patterns(
-    datum: RootDatum, min_depth: int
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per-embedding difference vectors of weights omega with omega - eta
-    min_depth-deep in C0: each difference > min_depth, total < p - min_depth."""
-    key = (datum, min_depth)
-    cached = _PATTERN_CACHE.get(key)
-    if cached is not None:
-        return cached
-    p, n = datum.p, datum.n
+def _c0_translations(
+    datum: RootDatum, w: FiniteWeylElt, b: WeightVec, min_depth: int
+) -> list[tuple[tuple[int, ...], ...]]:
+    """The rows of every weight b + p nu - w(pi(nu)) that is min_depth-deep
+    over the lowest alcove, one per class of nu modulo X^0 (nu normalized to
+    last entry 0 in each embedding).
 
-    def rows() -> list[tuple[int, ...]]:
-        out = []
-
-        def rec(prefix: list[int], total: int) -> None:
-            if len(prefix) == n - 1:
-                out.append(tuple(prefix))
-                return
-            d = min_depth + 1
-            while total + d <= p - min_depth - 1:
-                prefix.append(d)
-                rec(prefix, total + d)
-                prefix.pop()
-                d += 1
-
-        rec([], 0)
-        return out
-
-    result = tuple(itertools.product(rows(), repeat=datum.f))
-    _PATTERN_CACHE[key] = result
-    return result
-
-
-def _weight_from_pattern(
-    datum: RootDatum, pattern, bases: tuple[int, ...]
-) -> WeightVec:
-    rows = []
-    for j in range(datum.f):
-        row = [bases[j]] * datum.n
-        for i in range(datum.n - 2, -1, -1):
-            row[i] = row[i + 1] + pattern[j][i]
-        rows.append(tuple(row))
-    return WeightVec(tuple(rows))
-
-
-def _pattern_weighted_sum(datum: RootDatum, row: tuple[int, ...]) -> int:
-    # sum of entries of the weight with this difference row and base 0
-    return sum((t + 1) * d for t, d in enumerate(row))
-
-
-def eta_c0_weights(
-    datum: RootDatum, min_depth: int, degrees: tuple[int, ...]
-) -> list[WeightVec]:
-    """Weights omega with omega - eta min_depth-deep in C0 and the exact
-    per-embedding degree vector."""
+    Embedding j of that weight is b_j + p nu_j - w_j(nu_{j-1}), so nu_j is
+    forced by nu_{j-1} (:func:`_forced_row`).  Taking spreads,
+    p spread(nu_j) <= (p - 1) + spread(b_j) + spread(nu_{j-1}), so every
+    spread of nu is at most ``bound``; that leaves each difference of
+    nu_{f-1} a few values, and each start is followed once around the cycle.
+    """
+    p, n, f = datum.p, datum.n, datum.f
+    winv = w.inverse().perms
+    bound = 1 + max(max(row) - min(row) for row in b.entries) // (p - 1)
+    last = b.entries[f - 1]
+    ranges = []
+    for i in range(n - 1):
+        gap = last[i] - last[i + 1]
+        lo = (min_depth - gap - bound) // p + 1
+        hi = (min_depth - gap + bound) // p + 1
+        ranges.append(range(lo, hi + 1))
     out = []
-    for pattern in _difference_patterns(datum, min_depth):
-        bases = []
-        for j in range(datum.f):
-            num = degrees[j] - _pattern_weighted_sum(datum, pattern[j])
-            if num % datum.n != 0:
-                bases = None
+    for diffs in itertools.product(*ranges):
+        start = [0] * n
+        for i in range(n - 2, -1, -1):
+            start[i] = start[i + 1] + diffs[i]
+        start = prev = tuple(start)
+        rows = []
+        for j in range(f):
+            c = [b.entries[j][i] - prev[winv[j][i]] for i in range(n)]
+            prev = _forced_row(p, min_depth, c)
+            if prev is None:
                 break
-            bases.append(num // datum.n)
-        if bases is not None:
-            out.append(_weight_from_pattern(datum, pattern, tuple(bases)))
+            rows.append(tuple(ci + p * x for ci, x in zip(c, prev)))
+        if prev == start:
+            out.append(tuple(rows))
     return out
 
 
@@ -385,41 +373,41 @@ def c0_presentations(
     degrees: tuple[int, ...] | None = None,
 ) -> list[DLPresentation]:
     """Lowest-alcove presentations (s', mu') of R with mu' - eta
-    min_depth-deep in C0.
+    min_depth-deep in C0, sorted.
 
     With ``degrees`` the per-embedding degree of mu' is pinned exactly and the
-    enumeration is complete.  Without it, degrees range over a window wide
-    enough to meet every X^0-translation class of presentations, which is all
-    that depth-sensitive callers need.
+    list is complete.  Without it the presentations come in X^0 classes
+    (shifting nu by a constant moves mu' by (p - pi) of it), and the list
+    holds one presentation per class, with mu' in the digit normal form of
+    :func:`_canonical_omega`.  Depth and admissible-set memberships are
+    invariant under that shift, which is all that unpinned callers need.
+    The cost does not grow with p.
     """
     datum = R.datum
+    if min_depth < 0:
+        raise ValidationError("min_depth must be >= 0")
     cache_key = (datum, R.sort_key(), min_depth, degrees)
     hit = _C0_PRES_CACHE.get(cache_key)
     if hit is not None:
         return list(hit)
-    p, n, f = datum.p, datum.n, datum.f
+    n = datum.n
     found: dict[tuple, DLPresentation] = {}
-    half = (p**f - 1) // 2 + 1
     for w, b in _twisted_conjugates(R):
-        bdeg = b.degrees()
-        for pattern in _difference_patterns(datum, min_depth):
-            sums = [_pattern_weighted_sum(datum, pattern[j]) for j in range(f)]
-            if degrees is not None:
-                base_choices = [[ (degrees[j] - sums[j]) // n ]
-                                if (degrees[j] - sums[j]) % n == 0 else []
-                                for j in range(f)]
+        for rows in _c0_translations(datum, w, b, min_depth):
+            if degrees is None:
+                mu2 = _canonical_omega(datum, WeightVec(rows))
             else:
-                base_choices = []
-                for j in range(f):
-                    center = (bdeg[j] - sums[j]) // n
-                    base_choices.append(
-                        list(range(center - half, center + half + 1))
-                    )
-            for bases in itertools.product(*base_choices):
-                mu2 = _weight_from_pattern(datum, pattern, bases)
-                if _solve_twisted(datum, w, mu2 - b) is not None:
-                    cand = DLPresentation(ExtAffineElt(datum, mu2, w))
-                    found[cand.sort_key()] = cand
+                # the constant that pins the degrees must itself be a twist
+                # (p - pi) c, so that mu2 stays in the orbit
+                nums = [d - sum(row) for d, row in zip(degrees, rows)]
+                if any(v % n for v in nums):
+                    continue
+                consts = tuple(v // n for v in nums)
+                if any(_x0_class_digits(datum, consts)):
+                    continue
+                mu2 = WeightVec(rows) + x0_shift(datum, consts)
+            cand = DLPresentation(ExtAffineElt(datum, mu2, w))
+            found[cand.sort_key()] = cand
     result = [found[k] for k in sorted(found)]
     _C0_PRES_CACHE[cache_key] = result
     return list(result)
@@ -451,8 +439,10 @@ def max_genericity(R: DLPresentation) -> int | None:
 # Jordan-Holder sets
 
 
-def _require_deep_presentation(R: DLPresentation, depth: int, what: str) -> None:
-    given = R.lowest_alcove_depth()
+def _require_depth(x, depth: int, what: str) -> None:
+    """Refuse unless the given presentation of x (a DL presentation or a
+    tame parameter) is depth-deep over the lowest alcove."""
+    given = x.lowest_alcove_depth()
     if given is None or given < depth:
         raise DepthError(
             f"{what} requires the given presentation to be {depth}-deep over "
@@ -472,29 +462,29 @@ def jh_set(R: DLPresentation) -> frozenset[SerreWeight]:
     alcove; shallower input is refused.
     """
     datum = R.datum
-    _require_deep_presentation(R, datum.h_eta, "jh_set")
+    _require_depth(R, datum.h_eta, "jh_set")
     key = ("jh", datum, R.sort_key())
     cached = _JH_CACHE.get(key)
     if cached is not None:
         return cached
     admissible = adm_eta(datum)
     base_inv = R.elt.inverse()
-    eta_deg = datum.eta().degrees()
+    eta = datum.eta()
     out = set()
     for rep in restricted_reps(datum):
         top = w0_element(datum) * rep
+        top_inv = top.inverse()
+        # t_omega top = t_mu s a for a in Adm(eta) with t_omega a translation
+        fin = R.s.inverse() * top.fin
         interval = bruhat_interval(top)
-        target_deg = tuple(
-            m + e - t
-            for m, e, t in zip(R.mu.degrees(), eta_deg, top.omega_degrees())
-        )
-        for omega in eta_c0_weights(datum, 0, target_deg):
-            t_omega = ExtAffineElt.from_translation(datum, omega)
-            if base_inv * (t_omega * top) not in admissible:
+        for a in admissible:
+            if a.fin != fin:
                 continue
-            if all(
-                base_inv * (t_omega * x) in admissible for x in interval
-            ):
+            omega = (R.elt * a * top_inv).trans
+            if not in_lowest_alcove(datum, omega - eta):
+                continue
+            shift = base_inv * ExtAffineElt.from_translation(datum, omega)
+            if all(shift * x in admissible for x in interval):
                 out.add(SerrePresentation(rep, omega).weight())
     cached = frozenset(out)
     _JH_CACHE[key] = cached
@@ -506,7 +496,7 @@ def jh_set_by_reflection(R: DLPresentation) -> frozenset[SerreWeight]:
     (w, omega) and a dominant u with u below wh . w in the raising order and
     t_omega in t_mu s u^{-1} W.  Cross-check path for :func:`jh_set`."""
     datum = R.datum
-    _require_deep_presentation(R, datum.h_eta, "jh_set")
+    _require_depth(R, datum.h_eta, "jh_set")
     eta = datum.eta()
     out = set()
     for rep in restricted_reps(datum):
@@ -529,7 +519,7 @@ def jh_outer(R: DLPresentation) -> list[tuple[FiniteWeylElt, SerreWeight]]:
     """Outer Jordan-Holder factors: for each finite Weyl w the weight with
     presentation (w^diamond, t_mu s (wh w^diamond)^{-1}(0)), each listed once."""
     datum = R.datum
-    _require_deep_presentation(R, datum.h_eta, "jh_outer")
+    _require_depth(R, datum.h_eta, "jh_outer")
     wh = wh_element(datum)
     out = []
     for w in all_weyl_elements(datum):

@@ -155,6 +155,21 @@ class TestBruhat:
     def test_cross_omega_always_false(self, d2, u2):
         assert not bruhat_leq(ExtAffineElt.identity(d2), u2)
 
+    def test_long_lifting_chain(self, d2):
+        # W_a of GL2 is infinite dihedral: u <= w iff l(u) < l(w) or u = w.
+        # Deciding these walks a lifting chain of about 3000 steps.
+        w = ExtAffineElt.from_translation(d2, d2.weight([[1500, -1500]]))
+        assert length(w) == 3000
+        below = affine_reflection(d2, Root(0, 0, 1), 7) * w
+        assert length(below) < 3000
+        assert bruhat_leq(below, w)
+        assert bruhat_leq(
+            ExtAffineElt.from_translation(d2, d2.weight([[1400, -1400]])), w
+        )
+        assert not bruhat_leq(
+            ExtAffineElt.from_translation(d2, d2.weight([[-1500, 1500]])), w
+        )
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_partial_order_axioms(self, n):
         datum = RootDatum(n, 1, 7)

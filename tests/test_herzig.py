@@ -22,9 +22,11 @@ from alcove.herzig import (
     wset_by_definition,
     wset_with_presentations,
 )
+from alcove.oracle import _deep_tau_samples
 from alcove.root_data import (
     DepthError,
     FiniteWeylElt,
+    RootDatum,
     all_weyl_elements,
     is_p_restricted,
 )
@@ -68,6 +70,14 @@ class TestWset:
         members = wset(tau)
         assert len(members) == 4
         assert members == wset_by_definition(tau)
+
+    @pytest.mark.parametrize("nfp,size", [((3, 2, 13), 81), ((4, 1, 23), 88)])
+    def test_dual_paths_agree_at_f2_and_n4(self, nfp, size):
+        datum = RootDatum(*nfp)
+        tau = _deep_tau_samples(datum, 1, datum.h_eta, random.Random(13))[0]
+        members = wset(tau)
+        assert len(members) == size
+        assert wset_by_definition(tau) == members
 
     def test_twist_is_bijective_on_members(self, tau3):
         factors = jh_set(tau3.as_dl())
@@ -146,6 +156,17 @@ class TestEliminate:
     def test_rank_three_certificates(self, d3, tau3):
         for sigma in self._non_members(d3, tau3, bound=5):
             cert = eliminate(sigma, tau3)
+            assert cert.verify()
+
+    @pytest.mark.parametrize("nfp", [(4, 1, 23), (2, 2, 13)])
+    def test_certificates_at_f2_and_n4(self, nfp):
+        datum = RootDatum(*nfp)
+        tau = _deep_tau_samples(datum, 1, datum.h_eta, random.Random(17))[0]
+        sigmas = self._non_members(datum, tau, bound=4)
+        assert sigmas
+        for sigma in sigmas:
+            cert = eliminate(sigma, tau)
+            assert cert.sigma == sigma
             assert cert.verify()
 
     def test_tampered_certificate_fails(self, d2, tau2):

@@ -132,6 +132,25 @@ class TestSweeps:
             assert result.skipped is None, result.name
             assert result.checked > 0, result.name
 
+    @pytest.mark.parametrize(
+        "n,f,p", [(2, 1, 7), (3, 1, 13), (2, 2, 7), (4, 1, 11)]
+    )
+    def test_presentation_solve_matches_scan(self, n, f, p):
+        cfg = SweepConfig(
+            n=n, f=f, p=p, tau_samples=1 if f > 1 else 3,
+            sweeps=("presentations",),
+        )
+        result = lemma_sweeps(cfg).results[0]
+        assert result.skipped is None
+        assert result.checked > 0
+        assert result.passed, result.counterexamples
+
+    def test_presentation_sweep_skips_large_scans(self):
+        cfg = SweepConfig(n=2, f=2, p=13, sweeps=("presentations",))
+        result = lemma_sweeps(cfg).results[0]
+        assert result.skipped is not None
+        assert result.checked == 0
+
     def test_report_serializes(self, d2_13):
         cfg = SweepConfig(
             n=2, f=1, p=13, box_radius=1, tau_samples=1, pair_samples=1,

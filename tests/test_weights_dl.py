@@ -11,6 +11,7 @@ from alcove.affine_weyl import (
     pi_elt_inv,
     restricted_reps,
 )
+from alcove.oracle import _deep_tau_samples, eta_c0_weights
 from alcove.root_data import (
     DepthError,
     FiniteWeylElt,
@@ -33,7 +34,6 @@ from alcove.weights_dl import (
     covers,
     d_sigma,
     dl_equal,
-    eta_c0_weights,
     is_m_generic,
     jh_outer,
     jh_set,
@@ -260,6 +260,17 @@ class TestGenericity:
         assert max_genericity(deep_r2) == 2
         assert is_m_generic(deep_r2, 2)
         assert not is_m_generic(deep_r2, 3)
+
+    @pytest.mark.parametrize("nfp", [(2, 2, 13), (4, 1, 23)])
+    def test_max_genericity_at_f2_and_n4(self, nfp):
+        datum = RootDatum(*nfp)
+        for tau in _deep_tau_samples(datum, 3, 0, random.Random(19)):
+            R = tau.as_dl()
+            given = R.lowest_alcove_depth()
+            top = max_genericity(R)
+            assert top >= given
+            assert is_m_generic(R, top)
+            assert not is_m_generic(R, top + 1)
 
     def test_twisted_presentation_recovers_depth(self, d2):
         # start from a deep presentation, twist it out of the lowest alcove,
