@@ -15,6 +15,7 @@ the Bruhat order as a fast path when both elements are dominant.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -163,22 +164,16 @@ def affine_reflection(datum: RootDatum, beta: Root, level: int) -> ExtAffineElt:
     return ExtAffineElt(datum, WeightVec(tuple(tuple(r) for r in rows)), s.fin)
 
 
-_GEN_CACHE: dict[RootDatum, list[tuple[str, ExtAffineElt]]] = {}
-
-
+@functools.cache
 def coxeter_generators(datum: RootDatum) -> list[tuple[str, ExtAffineElt]]:
     """Labelled Coxeter generators of W_a: per embedding j the finite wall
     reflections s1@j .. s{n-1}@j and the affine reflection s0@j across the
     level-one wall of the highest root."""
-    cached = _GEN_CACHE.get(datum)
-    if cached is not None:
-        return cached
     gens: list[tuple[str, ExtAffineElt]] = []
     for j in range(datum.f):
         for i in range(datum.n - 1):
             gens.append((f"s{i + 1}@{j}", simple_reflection(datum, Root(j, i, i + 1))))
         gens.append((f"s0@{j}", affine_reflection(datum, Root(j, 0, datum.n - 1), 1)))
-    _GEN_CACHE[datum] = gens
     return gens
 
 
@@ -198,34 +193,20 @@ def length(w: ExtAffineElt) -> int:
     return total
 
 
-_DESCENT_CACHE: dict[tuple, int | None] = {}
-
-
+@functools.cache
 def _first_left_descent(w: ExtAffineElt) -> int | None:
     """Index into coxeter_generators of the first s with l(s w) < l(w)."""
-    key = (w.datum, w.key())
-    if key in _DESCENT_CACHE:
-        return _DESCENT_CACHE[key]
     lw = length(w)
-    found = None
     for idx, (_, s) in enumerate(coxeter_generators(w.datum)):
         if length(s * w) < lw:
-            found = idx
-            break
-    _DESCENT_CACHE[key] = found
-    return found
+            return idx
+    return None
 
 
-_WORD_CACHE: dict[tuple, tuple[int, ...]] = {}
-
-
+@functools.cache
 def _canonical_word_indices(wa: ExtAffineElt) -> tuple[int, ...]:
     """Canonical reduced word of a W_a element as generator indices, chosen
     greedily by first left descent."""
-    key = (wa.datum, wa.key())
-    cached = _WORD_CACHE.get(key)
-    if cached is not None:
-        return cached
     gens = coxeter_generators(wa.datum)
     word: list[int] = []
     cur = wa
@@ -237,9 +218,7 @@ def _canonical_word_indices(wa: ExtAffineElt) -> tuple[int, ...]:
         cur = gens[idx][1] * cur
     if not cur.is_identity():
         raise ValidationError("element is not in the affine Weyl group")
-    out = tuple(word)
-    _WORD_CACHE[key] = out
-    return out
+    return tuple(word)
 
 
 @dataclass(frozen=True, slots=True)
@@ -277,11 +256,9 @@ def replay_word(datum: RootDatum, labels: list[str]) -> ExtAffineElt:
     for lab in labels:
         if lab.startswith("omega^"):
             power, j = lab[len("omega^"):].split("@")
-            gen = omega_generator(datum, int(j))
-            m = int(power)
-            piece = gen if m >= 0 else gen.inverse()
-            for _ in range(abs(m)):
-                out = out * piece
+            degrees = [0] * datum.f
+            degrees[int(j)] = int(power)
+            out = out * omega_element(datum, degrees)
         else:
             out = out * by_label[lab]
     return out
@@ -314,21 +291,16 @@ def _apply_to_hyperplane(
     return wbeta, new_level
 
 
-_WALLS: dict[RootDatum, list[tuple[Root, int]]] = {}
-
-
+@functools.cache
 def _generator_walls(datum: RootDatum) -> list[tuple[Root, int]]:
     """Wall of A0 fixed by each Coxeter generator, aligned with
     coxeter_generators ordering."""
-    cached = _WALLS.get(datum)
-    if cached is None:
-        cached = []
-        for j in range(datum.f):
-            for i in range(datum.n - 1):
-                cached.append((Root(j, i, i + 1), 0))
-            cached.append((Root(j, 0, datum.n - 1), 1))
-        _WALLS[datum] = cached
-    return cached
+    walls = []
+    for j in range(datum.f):
+        for i in range(datum.n - 1):
+            walls.append((Root(j, i, i + 1), 0))
+        walls.append((Root(j, 0, datum.n - 1), 1))
+    return walls
 
 
 def minimal_gallery(w: ExtAffineElt) -> Gallery:
@@ -425,26 +397,22 @@ def diamond(w: ExtAffineElt) -> ExtAffineElt:
     return out
 
 
-_RESTRICTED_REPS: dict[RootDatum, list[ExtAffineElt]] = {}
-
-
+@functools.cache
 def restricted_reps(datum: RootDatum) -> list[ExtAffineElt]:
     """Canonical representatives of the restricted elements modulo X^0, one
     per finite Weyl element, in a fixed deterministic order."""
-    cached = _RESTRICTED_REPS.get(datum)
-    if cached is None:
-        cached = [
-            diamond(ExtAffineElt.from_finite(datum, w))
-            for w in all_weyl_elements(datum)
-        ]
-        _RESTRICTED_REPS[datum] = cached
-    return cached
+    return [
+        diamond(ExtAffineElt.from_finite(datum, w))
+        for w in all_weyl_elements(datum)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Bruhat order
 
 
+# A dict, not functools.cache: one walk stores its answer for every pair it
+# visits, not only for the pair it was called with.
 _BRUHAT_CACHE: dict[tuple, bool] = {}
 
 
@@ -489,9 +457,6 @@ def _bruhat_wa(u: ExtAffineElt, w: ExtAffineElt) -> bool:
     return result
 
 
-_INTERVAL_CACHE: dict[tuple, frozenset] = {}
-
-
 def bruhat_interval(
     w: ExtAffineElt, budget: int = DEFAULT_INTERVAL_BUDGET
 ) -> list[ExtAffineElt]:
@@ -501,30 +466,30 @@ def bruhat_interval(
         raise BudgetError(
             f"interval of an element of length {length(w)} exceeds budget {budget}"
         )
+    return sorted(_lower_interval(w), key=lambda x: (length(x), x.key()))
+
+
+@functools.cache
+def _lower_interval(w: ExtAffineElt) -> frozenset[ExtAffineElt]:
     datum = w.datum
     dec = omega_decompose(w)
-    key = (datum, w.key())
-    cached = _INTERVAL_CACHE.get(key)
-    if cached is None:
-        gens = coxeter_generators(datum)
-        products: set[tuple] = set()
-        elements: dict[tuple, ExtAffineElt] = {}
-        e = ExtAffineElt.identity(datum)
-        products.add(e.key())
-        elements[e.key()] = e
-        for idx in _canonical_word_indices(dec.wa):
-            s = gens[idx][1]
-            new = {}
-            for k in products:
-                x = elements[k] * s
-                new[x.key()] = x
-            for k, x in new.items():
-                if k not in products:
-                    products.add(k)
-                    elements[k] = x
-        cached = frozenset(x * dec.delta for x in elements.values())
-        _INTERVAL_CACHE[key] = cached
-    return sorted(cached, key=lambda x: (length(x), x.key()))
+    gens = coxeter_generators(datum)
+    products: set[tuple] = set()
+    elements: dict[tuple, ExtAffineElt] = {}
+    e = ExtAffineElt.identity(datum)
+    products.add(e.key())
+    elements[e.key()] = e
+    for idx in _canonical_word_indices(dec.wa):
+        s = gens[idx][1]
+        new = {}
+        for k in products:
+            x = elements[k] * s
+            new[x.key()] = x
+        for k, x in new.items():
+            if k not in products:
+                products.add(k)
+                elements[k] = x
+    return frozenset(x * dec.delta for x in elements.values())
 
 
 # ---------------------------------------------------------------------------
@@ -666,25 +631,21 @@ def up_leq(
 # admissible sets
 
 
-_ADM_CACHE: dict[tuple, frozenset] = {}
-
-
-def adm_set(
-    datum: RootDatum, lam: WeightVec, budget: int = DEFAULT_INTERVAL_BUDGET
-) -> frozenset[ExtAffineElt]:
-    """Union of the lower Bruhat intervals of the translations t_{w(lam)}."""
+def adm_set(datum: RootDatum, lam: WeightVec) -> frozenset[ExtAffineElt]:
+    """Union of the lower Bruhat intervals of the translations t_{w(lam)},
+    each within the default interval budget."""
     if not lam.is_dominant():
         raise ValidationError("admissible sets are defined for dominant weights")
-    key = (datum, lam.entries)
-    cached = _ADM_CACHE.get(key)
-    if cached is None:
-        members: set[ExtAffineElt] = set()
-        for w in all_weyl_elements(datum):
-            t = ExtAffineElt.from_translation(datum, w.act(lam))
-            members.update(bruhat_interval(t, budget=budget))
-        cached = frozenset(members)
-        _ADM_CACHE[key] = cached
-    return cached
+    return _adm_set(datum, lam)
+
+
+@functools.cache
+def _adm_set(datum: RootDatum, lam: WeightVec) -> frozenset[ExtAffineElt]:
+    members: set[ExtAffineElt] = set()
+    for w in all_weyl_elements(datum):
+        t = ExtAffineElt.from_translation(datum, w.act(lam))
+        members.update(bruhat_interval(t))
+    return frozenset(members)
 
 
 def adm_contains(datum: RootDatum, lam: WeightVec, w: ExtAffineElt) -> bool:
@@ -730,18 +691,22 @@ def elements_of_length_leq(
     return sorted(out, key=lambda x: (length(x), x.key()))
 
 
+def box_elements(datum: RootDatum, radius: int):
+    """Every element t_lam . w with translation entries in [-radius, radius],
+    translation-major in product order, w in all_weyl_elements order."""
+    rng = range(-radius, radius + 1)
+    rows = list(itertools.product(rng, repeat=datum.n))
+    weyl = all_weyl_elements(datum)
+    for combo in itertools.product(rows, repeat=datum.f):
+        lam = WeightVec(combo)
+        for w in weyl:
+            yield ExtAffineElt(datum, lam, w)
+
+
 def dominant_box(datum: RootDatum, radius: int) -> list[ExtAffineElt]:
     """All dominant elements t_lam . w with translation entries in
     [-radius, radius]."""
-    rng = range(-radius, radius + 1)
-    rows = list(itertools.product(rng, repeat=datum.n))
-    out = []
-    for combo in itertools.product(rows, repeat=datum.f):
-        lam = WeightVec(combo)
-        for w in all_weyl_elements(datum):
-            elt = ExtAffineElt(datum, lam, w)
-            if is_dominant_elt(elt):
-                out.append(elt)
+    out = filter(is_dominant_elt, box_elements(datum, radius))
     return sorted(out, key=lambda x: (length(x), x.key()))
 
 

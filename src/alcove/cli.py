@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .affine_weyl import ExtAffineElt
@@ -168,14 +167,6 @@ def cmd_eliminate(args) -> int:
     return EXIT_OK
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("ALCOVE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="alcove",
@@ -201,13 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
                 help="translation part, comma-separated integers, embeddings joined by ';'",
             )
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=_default_threads(),
-            help="worker threads (execution is serial and deterministic; "
-            "values above 1 are accepted and reserved)",
-        )
 
     p_wset = sub.add_parser("wset", help="predicted weight set of a tame parameter")
     common(p_wset, tame=True)
@@ -256,9 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_REFUSED
     try:
         return args.func(args)
     except (DepthError, ValidationError, NotEliminableError) as exc:

@@ -13,6 +13,7 @@ admissible-set membership makes only one degree vector possible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .affine_weyl import (
@@ -25,6 +26,7 @@ from .affine_weyl import (
     p_dot,
     restricted_reps,
     simple_reflection,
+    up_leq,
     w0_element,
     wh_element,
 )
@@ -92,21 +94,21 @@ def herzig_twist(sigma: SerreWeight) -> SerreWeight:
     return SerreWeight.from_weight(datum, lam)
 
 
-_WSET_CACHE: dict[tuple, dict] = {}
-
-
 def wset_with_presentations(
     tau: TameParam,
 ) -> dict[SerreWeight, SerrePresentation]:
     """The predicted set W? by its membership characterization: sigma has a
     presentation (w, omega) with t_mu s in t_omega W~_{<= w0 w}.  Returns one
     witnessing presentation per weight."""
+    _require_depth(tau, tau.datum.h_eta, "wset")
+    return _wset_with_presentations(tau)
+
+
+@functools.cache
+def _wset_with_presentations(
+    tau: TameParam,
+) -> dict[SerreWeight, SerrePresentation]:
     datum = tau.datum
-    _require_depth(tau, datum.h_eta, "wset")
-    key = ("wset", datum, tau.elt.key())
-    cached = _WSET_CACHE.get(key)
-    if cached is not None:
-        return cached
     eta = datum.eta()
     out: dict[SerreWeight, SerrePresentation] = {}
 
@@ -121,7 +123,6 @@ def wset_with_presentations(
                 continue
             pres = SerrePresentation(rep, omega)
             out.setdefault(pres.weight(), pres)
-    _WSET_CACHE[key] = out
     return out
 
 
@@ -144,12 +145,15 @@ def wobv_with_presentations(
     tau: TameParam,
 ) -> dict[SerreWeight, SerrePresentation]:
     """Extremal (obvious) weights: presentations with t_mu s in t_omega W w."""
+    _require_depth(tau, tau.datum.h_eta, "wobv")
+    return _wobv_with_presentations(tau)
+
+
+@functools.cache
+def _wobv_with_presentations(
+    tau: TameParam,
+) -> dict[SerreWeight, SerrePresentation]:
     datum = tau.datum
-    _require_depth(tau, datum.h_eta, "wobv")
-    key = ("wobv", datum, tau.elt.key())
-    cached = _WSET_CACHE.get(key)
-    if cached is not None:
-        return cached
     eta = datum.eta()
     out: dict[SerreWeight, SerrePresentation] = {}
 
@@ -163,7 +167,6 @@ def wobv_with_presentations(
             continue
         pres = SerrePresentation(rep, omega)
         out.setdefault(pres.weight(), pres)
-    _WSET_CACHE[key] = out
     return out
 
 
@@ -302,8 +305,6 @@ class ConnectionEdge:
         datum = self.R.datum
         if not is_restricted_elt(self.w2) or not is_dominant_elt(self.w1):
             return False
-        from .affine_weyl import up_leq
-
         if not up_leq(self.w1, wh_element(datum).inverse() * self.w2):
             return False
         factor = (

@@ -13,6 +13,7 @@ mutations deliberately drop a hypothesis to demonstrate the harness can fail.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -66,35 +67,33 @@ def hyperplane_count_length(w: ExtAffineElt) -> int:
 # brute-force Bruhat order
 
 
-_WORDS_CACHE: dict[tuple, tuple[tuple[int, ...], ...]] = {}
-_CLOSURE_CACHE: dict[tuple, frozenset] = {}
+def _require_word_budget(w: ExtAffineElt, budget: int) -> None:
+    ell = hyperplane_count_length(w)
+    if ell > budget:
+        raise BudgetError(f"length {ell} exceeds the oracle word budget {budget}")
 
 
 def all_reduced_words(w: ExtAffineElt, budget: int = ORACLE_LENGTH_BUDGET):
     """Every reduced word of an affine Weyl group element, as tuples of
     generator indices, found by peeling each left descent in turn."""
+    _require_word_budget(w, budget)
+    return _reduced_words(w)
+
+
+@functools.cache
+def _reduced_words(w: ExtAffineElt) -> tuple[tuple[int, ...], ...]:
     ell = hyperplane_count_length(w)
-    if ell > budget:
-        raise BudgetError(f"length {ell} exceeds the oracle word budget {budget}")
-    key = (w.datum, w.key())
-    cached = _WORDS_CACHE.get(key)
-    if cached is not None:
-        return cached
     if ell == 0:
-        words: tuple[tuple[int, ...], ...] = ((),)
         if not w.is_identity():
             raise ValueError("length-zero element outside W_a")
-    else:
-        gens = aw.coxeter_generators(w.datum)
-        collected = []
-        for idx, (_, s) in enumerate(gens):
-            shorter = s * w
-            if hyperplane_count_length(shorter) == ell - 1:
-                for rest in all_reduced_words(shorter, budget):
-                    collected.append((idx,) + rest)
-        words = tuple(collected)
-    _WORDS_CACHE[key] = words
-    return words
+        return ((),)
+    collected = []
+    for idx, (_, s) in enumerate(aw.coxeter_generators(w.datum)):
+        shorter = s * w
+        if hyperplane_count_length(shorter) == ell - 1:
+            for rest in _reduced_words(shorter):
+                collected.append((idx,) + rest)
+    return tuple(collected)
 
 
 def subword_closure(
@@ -103,14 +102,16 @@ def subword_closure(
     """Set of keys of all subword products of the reduced words of w.  The
     subword property makes the set independent of the word; that independence
     is asserted across every word rather than assumed."""
-    key = (w.datum, w.key())
-    cached = _CLOSURE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    _require_word_budget(w, budget)
+    return _subword_closure(w)
+
+
+@functools.cache
+def _subword_closure(w: ExtAffineElt) -> frozenset:
     gens = aw.coxeter_generators(w.datum)
     e = ExtAffineElt.identity(w.datum)
     closure: frozenset | None = None
-    for word in all_reduced_words(w, budget):
+    for word in _reduced_words(w):
         elements = {e.key(): e}
         for idx in word:
             s = gens[idx][1]
@@ -125,7 +126,6 @@ def subword_closure(
                 "subword closures disagree across reduced words"
             )
     assert closure is not None
-    _CLOSURE_CACHE[key] = closure
     return closure
 
 
@@ -360,19 +360,6 @@ def _restricted_pool(datum: RootDatum, config: SweepConfig) -> list[ExtAffineElt
     return aw.restricted_reps(datum)
 
 
-def _full_box(datum: RootDatum, radius: int) -> list[ExtAffineElt]:
-    import itertools as it
-
-    rng = range(-radius, radius + 1)
-    rows = list(it.product(rng, repeat=datum.n))
-    out = []
-    for combo in it.product(rows, repeat=datum.f):
-        lam = WeightVec(combo)
-        for w in all_weyl_elements(datum):
-            out.append(ExtAffineElt(datum, lam, w))
-    return out
-
-
 def _sweep_reduced1(datum: RootDatum, config: SweepConfig, res: SweepResult) -> None:
     wh_inv = aw.wh_element(datum).inverse()
     w0 = aw.w0_element(datum)
@@ -380,7 +367,7 @@ def _sweep_reduced1(datum: RootDatum, config: SweepConfig, res: SweepResult) -> 
     if mutated:
         box = [
             x
-            for x in _full_box(datum, 1)
+            for x in aw.box_elements(datum, 1)
             if not aw.is_dominant_elt(x) and aw.length(x) <= 4
         ]
     else:

@@ -10,6 +10,7 @@ package when no bytecode cache is written.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -29,18 +30,12 @@ from .root_data import (
 SCAN_BUDGET = 400_000
 
 
-_PATTERN_CACHE: dict[tuple, tuple] = {}
-
-
+@functools.cache
 def _difference_patterns(
     datum: RootDatum, min_depth: int
 ) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Per-embedding difference vectors of weights omega with omega - eta
     min_depth-deep in C0: each difference > min_depth, total < p - min_depth."""
-    key = (datum, min_depth)
-    cached = _PATTERN_CACHE.get(key)
-    if cached is not None:
-        return cached
     p, n = datum.p, datum.n
 
     def rows() -> list[tuple[int, ...]]:
@@ -60,9 +55,7 @@ def _difference_patterns(
         rec([], 0)
         return out
 
-    result = tuple(itertools.product(rows(), repeat=datum.f))
-    _PATTERN_CACHE[key] = result
-    return result
+    return tuple(itertools.product(rows(), repeat=datum.f))
 
 
 def _weight_from_pattern(

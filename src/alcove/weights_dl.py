@@ -19,6 +19,7 @@ refused, never guessed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -223,15 +224,9 @@ class DLPresentation:
         return self.elt.key()
 
 
-_TWIST_CACHE: dict[tuple, list] = {}
-
-
+@functools.cache
 def _twist_positions(datum: RootDatum, w: FiniteWeylElt):
     """Cycles of the coordinate permutation underlying nu |-> w(pi(nu))."""
-    key = (datum, w.perms)
-    cached = _TWIST_CACHE.get(key)
-    if cached is not None:
-        return cached
     f, n = datum.f, datum.n
     winv = w.inverse()
 
@@ -253,7 +248,6 @@ def _twist_positions(datum: RootDatum, w: FiniteWeylElt):
                 seen.add(cur)
                 cur = rho(cur)
             cycles.append(cyc)
-    _TWIST_CACHE[key] = cycles
     return cycles
 
 
@@ -364,9 +358,6 @@ def _c0_translations(
     return out
 
 
-_C0_PRES_CACHE: dict[tuple, list] = {}
-
-
 def c0_presentations(
     R: DLPresentation,
     min_depth: int = 0,
@@ -383,13 +374,16 @@ def c0_presentations(
     invariant under that shift, which is all that unpinned callers need.
     The cost does not grow with p.
     """
-    datum = R.datum
     if min_depth < 0:
         raise ValidationError("min_depth must be >= 0")
-    cache_key = (datum, R.sort_key(), min_depth, degrees)
-    hit = _C0_PRES_CACHE.get(cache_key)
-    if hit is not None:
-        return list(hit)
+    return list(_c0_presentations(R, min_depth, degrees))
+
+
+@functools.cache
+def _c0_presentations(
+    R: DLPresentation, min_depth: int, degrees: tuple[int, ...] | None
+) -> tuple[DLPresentation, ...]:
+    datum = R.datum
     n = datum.n
     found: dict[tuple, DLPresentation] = {}
     for w, b in _twisted_conjugates(R):
@@ -408,9 +402,7 @@ def c0_presentations(
                 mu2 = WeightVec(rows) + x0_shift(datum, consts)
             cand = DLPresentation(ExtAffineElt(datum, mu2, w))
             found[cand.sort_key()] = cand
-    result = [found[k] for k in sorted(found)]
-    _C0_PRES_CACHE[cache_key] = result
-    return list(result)
+    return tuple(found[k] for k in sorted(found))
 
 
 def is_m_generic(R: DLPresentation, m: int) -> bool:
@@ -450,9 +442,6 @@ def _require_depth(x, depth: int, what: str) -> None:
         )
 
 
-_JH_CACHE: dict[tuple, frozenset] = {}
-
-
 def jh_set(R: DLPresentation) -> frozenset[SerreWeight]:
     """Jordan-Holder factors of the reduction of R, by the admissible-set
     criterion: sigma has a presentation (w, omega) with the translated lower
@@ -461,12 +450,13 @@ def jh_set(R: DLPresentation) -> frozenset[SerreWeight]:
     Requires the given translation part to be h_eta-deep over the lowest
     alcove; shallower input is refused.
     """
+    _require_depth(R, R.datum.h_eta, "jh_set")
+    return _jh_set(R)
+
+
+@functools.cache
+def _jh_set(R: DLPresentation) -> frozenset[SerreWeight]:
     datum = R.datum
-    _require_depth(R, datum.h_eta, "jh_set")
-    key = ("jh", datum, R.sort_key())
-    cached = _JH_CACHE.get(key)
-    if cached is not None:
-        return cached
     admissible = adm_eta(datum)
     base_inv = R.elt.inverse()
     eta = datum.eta()
@@ -486,9 +476,7 @@ def jh_set(R: DLPresentation) -> frozenset[SerreWeight]:
             shift = base_inv * ExtAffineElt.from_translation(datum, omega)
             if all(shift * x in admissible for x in interval):
                 out.add(SerrePresentation(rep, omega).weight())
-    cached = frozenset(out)
-    _JH_CACHE[key] = cached
-    return cached
+    return frozenset(out)
 
 
 def jh_set_by_reflection(R: DLPresentation) -> frozenset[SerreWeight]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from alcove import affine_weyl, herzig, oracle, presentation_scan, weights_dl
 from alcove.root_data import RootDatum
 
 
@@ -23,3 +24,18 @@ def d3():
 @pytest.fixture(scope="session")
 def d22():
     return RootDatum(2, 2, 7)
+
+
+@pytest.fixture
+def clear_caches():
+    """A function that empties every memo of the package, so that the next
+    call computes from cold."""
+
+    def clear() -> None:
+        for module in (affine_weyl, herzig, oracle, presentation_scan, weights_dl):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+        affine_weyl._BRUHAT_CACHE.clear()
+
+    return clear

@@ -34,6 +34,7 @@ from alcove.affine_weyl import (
     wh_element,
 )
 from alcove.root_data import (
+    BudgetError,
     FiniteWeylElt,
     InconclusiveRegionError,
     Root,
@@ -219,6 +220,33 @@ class TestIntervals:
                 for idx in word:
                     frontier = frontier | {y * gens[idx][1] for y in frontier}
                 assert {y.key() for y in frontier} == expected
+
+
+class TestMemo:
+    def test_cold_and_warm_results_agree(self, d2, d3, clear_caches):
+        tops = [ExtAffineElt.from_translation(d3, d3.eta())] + [
+            w0_element(d) * rep for d in (d2, d3) for rep in restricted_reps(d)
+        ]
+
+        def compute(order):
+            intervals = {t: bruhat_interval(t) for t in order}
+            return [intervals[t] for t in tops], adm_eta(d2), adm_eta(d3)
+
+        clear_caches()
+        cold = compute(tops)
+        clear_caches()
+        compute(tops[::-1])
+        warm = compute(tops)
+        assert warm == cold
+        # each call returns a list of its own
+        warm[0][0].clear()
+        assert compute(tops) == cold
+
+    def test_budget_checked_before_cache(self, d3):
+        top = ExtAffineElt.from_translation(d3, d3.eta())
+        assert bruhat_interval(top)
+        with pytest.raises(BudgetError):
+            bruhat_interval(top, budget=length(top) - 1)
 
 
 class TestRegionMembership:

@@ -154,13 +154,3 @@ class TestEliminateCommand:
         )
         assert code == EXIT_REFUSED
         assert "refusal" in err
-
-
-class TestThreads:
-    def test_thread_flag_accepted(self):
-        code, out, _ = run_cli(*GRAPH_ARGS, "--threads", "4")
-        assert code == EXIT_OK
-
-    def test_invalid_thread_count(self):
-        code, _, _ = run_cli(*GRAPH_ARGS, "--threads", "0")
-        assert code == EXIT_REFUSED

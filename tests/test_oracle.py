@@ -67,6 +67,13 @@ class TestBruteBruhat:
         with pytest.raises(BudgetError):
             brute_bruhat(ExtAffineElt.identity(d2), big, budget=4)
 
+    def test_budget_checked_before_cache(self, d2):
+        t10 = ExtAffineElt.from_translation(d2, d2.weight([[1, -1]]))
+        wa = aw.omega_decompose(t10).wa
+        assert subword_closure(wa)
+        with pytest.raises(BudgetError):
+            subword_closure(wa, budget=aw.length(wa) - 1)
+
     def test_word_count_and_closure(self, d3):
         t_eta = ExtAffineElt.from_translation(d3, d3.eta())
         dec = aw.omega_decompose(t_eta)

@@ -5,12 +5,14 @@ import random
 
 import pytest
 
+from alcove import weights_dl
 from alcove.affine_weyl import (
     ExtAffineElt,
     omega_generator,
     pi_elt_inv,
     restricted_reps,
 )
+from alcove.herzig import TameParam, wobv_with_presentations, wset_with_presentations
 from alcove.oracle import _deep_tau_samples, eta_c0_weights
 from alcove.root_data import (
     DepthError,
@@ -284,6 +286,48 @@ class TestGenericity:
         assert twisted.lowest_alcove_depth() is None
         assert dl_equal(base, twisted)
         assert max_genericity(twisted) == 2
+
+
+class TestMemo:
+    def test_cold_and_warm_results_agree(self, deep_r2, deep_r3, d22, clear_caches):
+        reps = [deep_r2, deep_r3, dl(d22, [[5, 1], [4, 0]])]
+
+        def compute(order):
+            out = {}
+            for R in order:
+                tau = TameParam(R.elt)
+                out[R] = (
+                    c0_presentations(R),
+                    c0_presentations(R, 1),
+                    c0_presentations(R, 0, R.mu.degrees()),
+                    jh_set(R),
+                    wset_with_presentations(tau),
+                    wobv_with_presentations(tau),
+                )
+            return [out[R] for R in reps]
+
+        clear_caches()
+        cold = compute(reps)
+        clear_caches()
+        compute(reps[::-1])
+        warm = compute(reps)
+        assert warm == cold
+        # each call returns a list of its own
+        warm[0][0].clear()
+        assert compute(reps) == cold
+
+    def test_one_memo_entry_per_call_style(self, deep_r2):
+        memo = weights_dl._c0_presentations
+        memo.cache_clear()
+        results = [
+            c0_presentations(deep_r2),
+            c0_presentations(deep_r2, 0),
+            c0_presentations(deep_r2, min_depth=0),
+            c0_presentations(deep_r2, degrees=None),
+        ]
+        info = memo.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+        assert all(r == results[0] for r in results)
 
 
 class TestJHSet:
