@@ -9,8 +9,8 @@ embedding (u_j = t_{e_0} . (n-cycle) in factor j).
 Lengths come in two flavours: a closed-form evaluation (used everywhere) and
 an independent hyperplane-count in :mod:`alcove.oracle`.  The Bruhat order is
 decided by the lifting-property recursion on reduced words; the Jantzen-style
-raising order is decided by a chain search over single-reflection moves, with
-the Bruhat order as a fast path when both elements are dominant.
+raising order is decided by the Bruhat order on a dominant translate of the
+two alcoves.
 """
 
 from __future__ import annotations
@@ -135,15 +135,19 @@ def omega_generator(datum: RootDatum, j: int) -> ExtAffineElt:
 
 
 def omega_element(datum: RootDatum, degrees) -> ExtAffineElt:
-    """The Omega element with given per-embedding degree vector."""
-    out = ExtAffineElt.identity(datum)
-    for j, m in enumerate(degrees):
-        gen = omega_generator(datum, j)
-        if m < 0:
-            gen = gen.inverse()
-        for _ in range(abs(m)):
-            out = out * gen
-    return out
+    """The Omega element with given per-embedding degree vector, in closed
+    form: u_j^n = t_{(1, ..., 1)} in embedding j is central, so with
+    q, r = divmod(m, n), u_j^m = t_{q (1, ..., 1)} . u_j^r, and u_j^r is the
+    translation by r leading ones times the r-th power of the n-cycle."""
+    if len(degrees) != datum.f:
+        raise ValidationError(f"expected {datum.f} Omega degrees, got {len(degrees)}")
+    n = datum.n
+    rows, perms = [], []
+    for m in degrees:
+        q, r = divmod(m, n)
+        rows.append(tuple(q + (i < r) for i in range(n)))
+        perms.append(tuple((i + r) % n for i in range(n)))
+    return ExtAffineElt(datum, WeightVec(tuple(rows)), FiniteWeylElt(tuple(perms)))
 
 
 def simple_reflection(datum: RootDatum, beta: Root) -> ExtAffineElt:
@@ -165,7 +169,7 @@ def affine_reflection(datum: RootDatum, beta: Root, level: int) -> ExtAffineElt:
 
 
 @functools.cache
-def coxeter_generators(datum: RootDatum) -> list[tuple[str, ExtAffineElt]]:
+def coxeter_generators(datum: RootDatum) -> tuple[tuple[str, ExtAffineElt], ...]:
     """Labelled Coxeter generators of W_a: per embedding j the finite wall
     reflections s1@j .. s{n-1}@j and the affine reflection s0@j across the
     level-one wall of the highest root."""
@@ -174,7 +178,7 @@ def coxeter_generators(datum: RootDatum) -> list[tuple[str, ExtAffineElt]]:
         for i in range(datum.n - 1):
             gens.append((f"s{i + 1}@{j}", simple_reflection(datum, Root(j, i, i + 1))))
         gens.append((f"s0@{j}", affine_reflection(datum, Root(j, 0, datum.n - 1), 1)))
-    return gens
+    return tuple(gens)
 
 
 def length(w: ExtAffineElt) -> int:
@@ -398,22 +402,17 @@ def diamond(w: ExtAffineElt) -> ExtAffineElt:
 
 
 @functools.cache
-def restricted_reps(datum: RootDatum) -> list[ExtAffineElt]:
+def restricted_reps(datum: RootDatum) -> tuple[ExtAffineElt, ...]:
     """Canonical representatives of the restricted elements modulo X^0, one
     per finite Weyl element, in a fixed deterministic order."""
-    return [
+    return tuple(
         diamond(ExtAffineElt.from_finite(datum, w))
         for w in all_weyl_elements(datum)
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
 # Bruhat order
-
-
-# A dict, not functools.cache: one walk stores its answer for every pair it
-# visits, not only for the pair it was called with.
-_BRUHAT_CACHE: dict[tuple, bool] = {}
 
 
 def bruhat_leq(u: ExtAffineElt, w: ExtAffineElt) -> bool:
@@ -425,36 +424,24 @@ def bruhat_leq(u: ExtAffineElt, w: ExtAffineElt) -> bool:
     return _bruhat_wa(u * delta_inv, w * delta_inv)
 
 
+@functools.cache
 def _bruhat_wa(u: ExtAffineElt, w: ExtAffineElt) -> bool:
     """Lifting property (Bjorner-Brenti, Prop. 2.2.7) as a loop: for a left
-    descent s of w, u <= w iff min(u, su) <= sw.  Every pair on the way has
-    the same answer and is memoised with it."""
+    descent s of w, u <= w iff min(u, su) <= sw."""
     gens = coxeter_generators(w.datum)
-    visited = []
     while True:
-        key = (u.datum, u.key(), w.key())
-        result = _BRUHAT_CACHE.get(key)
-        if result is not None:
-            break
-        visited.append(key)
         lu, lw = length(u), length(w)
         if lu > lw:
-            result = False
-            break
+            return False
         if lw == 0:
-            result = u.is_identity()
-            break
+            return u.is_identity()
         if u.is_identity():
-            result = True
-            break
+            return True
         s = gens[_first_left_descent(w)][1]
         su = s * u
         if length(su) < lu:
             u = su
         w = s * w
-    for key in visited:
-        _BRUHAT_CACHE[key] = result
-    return result
 
 
 def bruhat_interval(
@@ -505,12 +492,6 @@ def _prefix_sums(row) -> tuple:
     return tuple(out)
 
 
-def _alcove_key(datum: RootDatum, point: Point) -> tuple[int, ...]:
-    return tuple(
-        math.floor(pair_point(point, beta)) for beta in datum.positive_roots()
-    )
-
-
 def _dominance_window(datum: RootDatum, lo: Point, hi: Point):
     """Per-embedding prefix-sum window [prefix(lo), prefix(hi)] bounding every
     chain of raising moves from lo to hi, or None if hi is not above lo."""
@@ -526,92 +507,36 @@ def _dominance_window(datum: RootDatum, lo: Point, hi: Point):
     return los, his
 
 
-def _in_window(datum: RootDatum, point: Point, window) -> bool:
-    los, his = window
-    for j in range(datum.f):
-        pp = _prefix_sums(point[j])
-        if any(v < lo or v > hi for v, lo, hi in zip(pp, los[j], his[j])):
-            return False
-    return True
-
-
-def _raising_moves(datum: RootDatum, point: Point, window):
-    """Reflected points across every wall strictly above the current alcove
-    that stay inside the dominance window."""
-    out = []
-    for beta in datum.positive_roots():
-        val = pair_point(point, beta)
-        m = math.floor(val) + 1
-        while True:
-            # s_{beta, m}: add (m - val) * beta
-            delta = m - val
-            rows = list(list(r) for r in point)
-            rows[beta.j][beta.i] += delta
-            rows[beta.j][beta.k] -= delta
-            new = tuple(tuple(r) for r in rows)
-            if not _in_window(datum, new, window):
-                break
-            out.append(new)
-            m += 1
-    return out
-
-
-def _up_alcove_search(datum: RootDatum, lo: Point, hi: Point) -> bool:
-    """Decide the raising order between the alcoves of two sample points by a
-    breadth-first closure of single-reflection raising moves.  The dominance
-    window bounds every possible chain, so exhaustion is a definitive no."""
-    target = _alcove_key(datum, hi)
-    if _alcove_key(datum, lo) == target:
-        return True
-    window = _dominance_window(datum, lo, hi)
-    if window is None:
-        return False
-    seen = {_alcove_key(datum, lo)}
-    frontier = [lo]
-    while frontier:
-        nxt = []
-        for point in frontier:
-            for new in _raising_moves(datum, point, window):
-                key = _alcove_key(datum, new)
-                if key == target:
-                    return True
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(new)
-        frontier = nxt
-    return False
-
-
 def up_leq(
     u: ExtAffineElt, w: ExtAffineElt, box: int | None = None
 ) -> bool:
     """The raising order on the extended group: equal Omega parts, and the
     alcove of u below the alcove of w in the Jantzen order.
 
-    When both elements are dominant this is equivalent to the Bruhat order
-    (used as a fast path; the equivalence is cross-validated against the
-    chain search by the oracle suite).  Otherwise a chain search runs inside
-    the dominance window spanned by the two alcoves, which provably contains
-    every raising chain; a user-supplied ``box`` (max absolute coordinate of
-    visited points) may restrict it further, raising
-    :class:`InconclusiveRegionError` if the restriction bites.
+    The raising order is invariant under translation by X, and on dominant
+    alcoves it equals the Bruhat order (Lusztig, Adv. Math. 1980; the oracle
+    suite cross-validates this against a chain search).  So both elements are
+    translated by the smallest sum of fundamental weights that makes them
+    dominant, and the Bruhat order decides there.  A user-supplied ``box``
+    (max absolute coordinate of the points on a raising chain) is checked
+    against the dominance window spanned by the two alcoves, which provably
+    contains every such chain, raising :class:`InconclusiveRegionError` if
+    the window does not fit inside it.
     """
     if u.omega_degrees() != w.omega_degrees():
         return False
     if u.key() == w.key():
         return True
-    if is_dominant_elt(u) and is_dominant_elt(w):
-        return bruhat_leq(u, w)
     datum = u.datum
     lo = u.act_point(datum.sample_point())
     hi = w.act_point(datum.sample_point())
+    window = _dominance_window(datum, lo, hi)
     if box is not None:
         bound = Fraction(box)
         if any(abs(v) > bound for row in itertools.chain(lo, hi) for v in row):
             raise InconclusiveRegionError(
                 f"an input element lies outside the bounding box {box}"
             )
-        window = _dominance_window(datum, lo, hi)
         if window is not None:
             # every chain point has coordinate t in [lo_t - hi_{t-1}, hi_t - lo_{t-1}]
             los, his = window
@@ -624,7 +549,18 @@ def up_leq(
                             f"bounding box {box} does not contain the chain "
                             "search region"
                         )
-    return _up_alcove_search(datum, lo, hi)
+    if window is None:
+        return False
+    lam = datum.zero()
+    for alpha in datum.simple_roots():
+        k = max(
+            0,
+            math.floor(-pair_point(lo, alpha)) + 1,
+            math.floor(-pair_point(hi, alpha)) + 1,
+        )
+        lam = lam + datum.omega_alpha(alpha).scale(k)
+    shift = ExtAffineElt.from_translation(datum, lam)
+    return bruhat_leq(shift * u, shift * w)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .affine_weyl import (
     ExtAffineElt,
@@ -96,10 +97,10 @@ def herzig_twist(sigma: SerreWeight) -> SerreWeight:
 
 def wset_with_presentations(
     tau: TameParam,
-) -> dict[SerreWeight, SerrePresentation]:
+) -> MappingProxyType[SerreWeight, SerrePresentation]:
     """The predicted set W? by its membership characterization: sigma has a
     presentation (w, omega) with t_mu s in t_omega W~_{<= w0 w}.  Returns one
-    witnessing presentation per weight."""
+    witnessing presentation per weight, as a read-only view of the memo."""
     _require_depth(tau, tau.datum.h_eta, "wset")
     return _wset_with_presentations(tau)
 
@@ -107,7 +108,7 @@ def wset_with_presentations(
 @functools.cache
 def _wset_with_presentations(
     tau: TameParam,
-) -> dict[SerreWeight, SerrePresentation]:
+) -> MappingProxyType[SerreWeight, SerrePresentation]:
     datum = tau.datum
     eta = datum.eta()
     out: dict[SerreWeight, SerrePresentation] = {}
@@ -123,7 +124,7 @@ def _wset_with_presentations(
                 continue
             pres = SerrePresentation(rep, omega)
             out.setdefault(pres.weight(), pres)
-    return out
+    return MappingProxyType(out)
 
 
 def wset(tau: TameParam) -> frozenset[SerreWeight]:
@@ -143,8 +144,9 @@ def wset_by_definition(tau: TameParam) -> frozenset[SerreWeight]:
 
 def wobv_with_presentations(
     tau: TameParam,
-) -> dict[SerreWeight, SerrePresentation]:
-    """Extremal (obvious) weights: presentations with t_mu s in t_omega W w."""
+) -> MappingProxyType[SerreWeight, SerrePresentation]:
+    """Extremal (obvious) weights: presentations with t_mu s in t_omega W w,
+    as a read-only view of the memo."""
     _require_depth(tau, tau.datum.h_eta, "wobv")
     return _wobv_with_presentations(tau)
 
@@ -152,7 +154,7 @@ def wobv_with_presentations(
 @functools.cache
 def _wobv_with_presentations(
     tau: TameParam,
-) -> dict[SerreWeight, SerrePresentation]:
+) -> MappingProxyType[SerreWeight, SerrePresentation]:
     datum = tau.datum
     eta = datum.eta()
     out: dict[SerreWeight, SerrePresentation] = {}
@@ -167,7 +169,7 @@ def _wobv_with_presentations(
             continue
         pres = SerrePresentation(rep, omega)
         out.setdefault(pres.weight(), pres)
-    return out
+    return MappingProxyType(out)
 
 
 def wobv(tau: TameParam) -> frozenset[SerreWeight]:

@@ -349,14 +349,16 @@ def _deep_tau_samples(
     return out
 
 
-def _restricted_pool(datum: RootDatum, config: SweepConfig) -> list[ExtAffineElt]:
+def _restricted_pool(
+    datum: RootDatum, config: SweepConfig
+) -> tuple[ExtAffineElt, ...]:
     if "drop-restricted-hypothesis" in config.mutations:
         pool = [
             x
             for x in aw.dominant_box(datum, 1)
             if not aw.is_restricted_elt(x) and aw.length(x) <= 3
         ]
-        return pool[:4]
+        return tuple(pool[:4])
     return aw.restricted_reps(datum)
 
 

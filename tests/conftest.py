@@ -36,6 +36,5 @@ def clear_caches():
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
-        affine_weyl._BRUHAT_CACHE.clear()
 
     return clear

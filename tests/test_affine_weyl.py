@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from alcove.affine_weyl import (
     ExtAffineElt,
+    _dominance_window,
     adm_contains,
     adm_eta,
     affine_reflection,
@@ -22,6 +25,7 @@ from alcove.affine_weyl import (
     length,
     minimal_gallery,
     omega_decompose,
+    omega_element,
     omega_generator,
     p_dot,
     reduced_word,
@@ -39,8 +43,11 @@ from alcove.root_data import (
     InconclusiveRegionError,
     Root,
     RootDatum,
+    ValidationError,
     all_weyl_elements,
+    pair_point,
 )
+from alcove.oracle import brute_up
 
 
 def elt(datum, rows, perm_rows):
@@ -49,6 +56,16 @@ def elt(datum, rows, perm_rows):
         datum.weight(rows),
         FiniteWeylElt(tuple(tuple(x - 1 for x in row) for row in perm_rows)),
     )
+
+
+def random_elt(rng, datum, radius, degrees=None):
+    """A random t_lam . w with entries of lam in [-radius, radius]; with
+    ``degrees``, the last entry of each row is moved into that Omega class."""
+    rows = [[rng.randint(-radius, radius) for _ in range(datum.n)] for _ in range(datum.f)]
+    if degrees is not None:
+        for row, deg in zip(rows, degrees):
+            row[-1] += deg - sum(row)
+    return ExtAffineElt(datum, datum.weight(rows), rng.choice(all_weyl_elements(datum)))
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +97,22 @@ class TestGroupStructure:
         pt = d22.sample_point()
         assert (a * b).act_point(pt) == a.act_point(b.act_point(pt))
         assert a * a.inverse() == ExtAffineElt.identity(d22)
+
+    @pytest.mark.parametrize("nfp", [(2, 1, 7), (3, 1, 37), (4, 1, 23), (2, 2, 13)])
+    def test_omega_element_is_the_repeated_product(self, nfp):
+        datum = RootDatum(*nfp)
+        span = range(-2 * datum.n - 1, 2 * datum.n + 2)
+        for degrees in itertools.product(span, repeat=datum.f):
+            expected = ExtAffineElt.identity(datum)
+            for j, m in enumerate(degrees):
+                gen = omega_generator(datum, j)
+                if m < 0:
+                    gen = gen.inverse()
+                for _ in range(abs(m)):
+                    expected = expected * gen
+            assert omega_element(datum, degrees) == expected
+        with pytest.raises(ValidationError):
+            omega_element(datum, (1,) * (datum.f + 1))
 
 
 class TestLength:
@@ -368,8 +401,8 @@ class TestUpOrder:
                 assert bruhat_leq(a, b)
 
     def test_small_box_is_refused(self, d2):
-        # non-dominant endpoints force the chain search; a box smaller than
-        # the dominance interval is refused rather than silently truncated
+        # a box smaller than the dominance window between the two alcoves
+        # is refused rather than silently truncated
         low = ExtAffineElt.from_translation(d2, d2.weight([[-4, 4]]))
         high = ExtAffineElt.from_translation(d2, d2.weight([[4, -4]]))
         with pytest.raises(InconclusiveRegionError):
@@ -378,6 +411,60 @@ class TestUpOrder:
 
     def test_cross_omega_false(self, d2, u2):
         assert not up_leq(ExtAffineElt.identity(d2), u2)
+
+    @pytest.mark.parametrize(
+        "nfp, radius",
+        [((4, 1, 23), 8), ((3, 1, 37), 12), ((2, 2, 13), 10), ((3, 2, 37), 6)],
+    )
+    def test_reflection_pairs_follow_the_wall_side(self, nfp, radius):
+        # reflecting u's alcove across a wall it lies below raises it one
+        # step; across a wall it lies above lowers it, so then u is not below
+        datum = RootDatum(*nfp)
+        rng = random.Random(f"wall-side {nfp} {radius}")
+        roots = datum.positive_roots()
+        for _ in range(40):
+            u = random_elt(rng, datum, radius)
+            beta = rng.choice(roots)
+            level = rng.randint(-radius, radius)
+            w = affine_reflection(datum, beta, level) * u
+            x = u.act_point(datum.sample_point())
+            assert up_leq(u, w) == (pair_point(x, beta) < level)
+
+    @pytest.mark.parametrize(
+        "nfp, radii, count",
+        [((3, 1, 37), (3, 4, 5), 30), ((2, 2, 13), (3, 4, 5), 30), ((4, 1, 23), (1,), 40)],
+    )
+    def test_agrees_with_brute_up_on_random_pairs(self, nfp, radii, count):
+        datum = RootDatum(*nfp)
+        rng = random.Random(f"brute-up {nfp}")
+        for radius in radii:
+            for _ in range(count):
+                u = random_elt(rng, datum, radius)
+                w = random_elt(rng, datum, radius, u.omega_degrees())
+                assert up_leq(u, w) == brute_up(u, w)
+                assert up_leq(w, u) == brute_up(w, u)
+
+    def test_dominance_alone_does_not_decide(self):
+        # at n = 4 the alcove of w can lie above that of u in the dominance
+        # order with no raising chain between them
+        datum = RootDatum(4, 1, 23)
+        u = elt(datum, [[-1, -1, -1, 1]], [[4, 1, 2, 3]])
+        w = elt(datum, [[-1, -1, 0, 0]], [[1, 4, 3, 2]])
+        lo, hi = (x.act_point(datum.sample_point()) for x in (u, w))
+        assert _dominance_window(datum, lo, hi) is not None
+        assert not brute_up(u, w)
+        assert not up_leq(u, w)
+
+    def test_far_pair_at_rank_four_is_fast(self):
+        # an independent pair at radius 8 on which a breadth-first chain
+        # search over alcoves runs for seconds
+        datum = RootDatum(4, 1, 23)
+        u = elt(datum, [[-5, -7, -2, -1]], [[4, 1, 2, 3]])
+        w = elt(datum, [[5, -3, -5, -12]], [[1, 4, 3, 2]])
+        start = time.perf_counter()
+        assert up_leq(u, w)
+        assert not up_leq(w, u)
+        assert time.perf_counter() - start < 2.0
 
 
 class TestLemmaScaffolding:

@@ -5,7 +5,12 @@ import random
 
 import pytest
 
-from alcove.affine_weyl import ExtAffineElt, in_omega
+from alcove.affine_weyl import (
+    ExtAffineElt,
+    coxeter_generators,
+    in_omega,
+    restricted_reps,
+)
 from alcove.herzig import (
     NotEliminableError,
     TameParam,
@@ -18,6 +23,7 @@ from alcove.herzig import (
     herzig_twist,
     is_extremal,
     wobv,
+    wobv_with_presentations,
     wset,
     wset_by_definition,
     wset_with_presentations,
@@ -83,6 +89,27 @@ class TestWset:
         factors = jh_set(tau3.as_dl())
         twisted = {herzig_twist(s) for s in factors}
         assert len(twisted) == len(factors)
+
+
+class TestImmutableResults:
+    def test_memoised_results_refuse_mutation(self, d2, tau2):
+        members, obvious = wset(tau2), wobv(tau2)
+        reps, gens = list(restricted_reps(d2)), list(coxeter_generators(d2))
+        sigma = next(iter(members))
+        for view in (wset_with_presentations(tau2), wobv_with_presentations(tau2)):
+            with pytest.raises((TypeError, AttributeError)):
+                view.clear()
+            with pytest.raises((TypeError, AttributeError)):
+                view[sigma] = None
+        for seq in (restricted_reps(d2), coxeter_generators(d2)):
+            with pytest.raises((TypeError, AttributeError)):
+                seq.pop()
+            with pytest.raises((TypeError, AttributeError)):
+                seq[0] = None
+        assert (wset(tau2), wobv(tau2)) == (members, obvious)
+        assert list(restricted_reps(d2)) == reps
+        assert list(coxeter_generators(d2)) == gens
+        assert len(members) == 2
 
 
 class TestWobv:
