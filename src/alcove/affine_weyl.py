@@ -7,10 +7,11 @@ stabilizer of the base alcove, is free abelian on one generator per
 embedding (u_j = t_{e_0} . (n-cycle) in factor j).
 
 Lengths come in two flavours: a closed-form evaluation (used everywhere) and
-an independent hyperplane-count in :mod:`alcove.oracle`.  The Bruhat order is
-decided by the lifting-property recursion on reduced words; the Jantzen-style
-raising order is decided by the Bruhat order on a dominant translate of the
-two alcoves.
+an independent hyperplane-count in :mod:`alcove.oracle`.  Left descents are
+read off by folding a point of w(A0) into A0 across the walls of A0, which
+gives the canonical reduced word; the Bruhat order is a walk along that word
+whose descents are read off the same way.  The Jantzen-style raising order is
+decided by the Bruhat order on a dominant translate of the two alcoves.
 """
 
 from __future__ import annotations
@@ -31,8 +32,11 @@ from .root_data import (
     ValidationError,
     WeightVec,
     all_weyl_elements,
+    frobenius_pi_inv,
     pair_point,
     pairing,
+    pi_weyl_inv,
+    x0_shift,
 )
 
 DEFAULT_INTERVAL_BUDGET = 14
@@ -101,15 +105,7 @@ def p_dot(w: ExtAffineElt, lam: WeightVec) -> WeightVec:
     return w.trans.scale(datum.p) + w.fin.act(lam + eta) - eta
 
 
-def pi_elt(w: ExtAffineElt) -> ExtAffineElt:
-    from .root_data import frobenius_pi, pi_weyl
-
-    return ExtAffineElt(w.datum, frobenius_pi(w.trans), pi_weyl(w.fin))
-
-
 def pi_elt_inv(w: ExtAffineElt) -> ExtAffineElt:
-    from .root_data import frobenius_pi_inv, pi_weyl_inv
-
     return ExtAffineElt(w.datum, frobenius_pi_inv(w.trans), pi_weyl_inv(w.fin))
 
 
@@ -198,31 +194,12 @@ def length(w: ExtAffineElt) -> int:
 
 
 @functools.cache
-def _first_left_descent(w: ExtAffineElt) -> int | None:
-    """Index into coxeter_generators of the first s with l(s w) < l(w)."""
-    lw = length(w)
-    for idx, (_, s) in enumerate(coxeter_generators(w.datum)):
-        if length(s * w) < lw:
-            return idx
-    return None
-
-
-@functools.cache
 def _canonical_word_indices(wa: ExtAffineElt) -> tuple[int, ...]:
-    """Canonical reduced word of a W_a element as generator indices, chosen
-    greedily by first left descent."""
-    gens = coxeter_generators(wa.datum)
-    word: list[int] = []
-    cur = wa
-    while True:
-        idx = _first_left_descent(cur)
-        if idx is None:
-            break
-        word.append(idx)
-        cur = gens[idx][1] * cur
-    if not cur.is_identity():
+    """Canonical reduced word of a W_a element as generator indices: the fold
+    of a point of wa(A0), so each letter is the first left descent."""
+    if any(wa.omega_degrees()):
         raise ValidationError("element is not in the affine Weyl group")
-    return tuple(word)
+    return tuple(_fold(wa.datum, wa.act_point(wa.datum.sample_point())))
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,7 +273,7 @@ def _apply_to_hyperplane(
 
 
 @functools.cache
-def _generator_walls(datum: RootDatum) -> list[tuple[Root, int]]:
+def _generator_walls(datum: RootDatum) -> tuple[tuple[Root, int], ...]:
     """Wall of A0 fixed by each Coxeter generator, aligned with
     coxeter_generators ordering."""
     walls = []
@@ -304,7 +281,34 @@ def _generator_walls(datum: RootDatum) -> list[tuple[Root, int]]:
         for i in range(datum.n - 1):
             walls.append((Root(j, i, i + 1), 0))
         walls.append((Root(j, 0, datum.n - 1), 1))
-    return walls
+    return tuple(walls)
+
+
+def _beyond(point: Point, wall: tuple[Root, int]) -> bool:
+    """Whether the wall of A0 separates point from A0; a point on the wall is
+    refused."""
+    beta, level = wall
+    v = pair_point(point, beta)
+    if v == level:
+        raise ValidationError("point lies on an affine wall")
+    return v < 0 if level == 0 else v > 1
+
+
+def _fold(datum: RootDatum, point: Point) -> list[int]:
+    """Fold point into A0, each time across the first wall of A0 that it lies
+    beyond.  The generators applied, multiplied in order, carry A0 to the
+    alcove of point.  Since l(s w) < l(w) iff the wall of s separates A0 from
+    w(A0) (Humphreys, Reflection Groups and Coxeter Groups, 4.5), each letter
+    is the first left descent of what is left, so the word is reduced."""
+    gens = coxeter_generators(datum)
+    walls = _generator_walls(datum)
+    word: list[int] = []
+    while True:
+        idx = next((i for i, wall in enumerate(walls) if _beyond(point, wall)), None)
+        if idx is None:
+            return word
+        word.append(idx)
+        point = gens[idx][1].act_point(point)
 
 
 def minimal_gallery(w: ExtAffineElt) -> Gallery:
@@ -393,8 +397,6 @@ def diamond(w: ExtAffineElt) -> ExtAffineElt:
     cand = ExtAffineElt.from_translation(datum, WeightVec(tuple(shift_rows))) * w
     # normalize the X^0 ambiguity: minimum translation entry 0 per embedding
     mins = [-min(row) for row in cand.trans.entries]
-    from .root_data import x0_shift
-
     out = ExtAffineElt.from_translation(datum, x0_shift(datum, mins)) * cand
     if not is_restricted_elt(out):
         raise ValidationError("diamond construction left the restricted region")
@@ -426,22 +428,25 @@ def bruhat_leq(u: ExtAffineElt, w: ExtAffineElt) -> bool:
 
 @functools.cache
 def _bruhat_wa(u: ExtAffineElt, w: ExtAffineElt) -> bool:
-    """Lifting property (Bjorner-Brenti, Prop. 2.2.7) as a loop: for a left
-    descent s of w, u <= w iff min(u, su) <= sw."""
-    gens = coxeter_generators(w.datum)
-    while True:
-        lu, lw = length(u), length(w)
-        if lu > lw:
+    """Lifting property (Bjorner-Brenti, Prop. 2.2.7) as a walk along the
+    canonical reduced word of w: for its first letter s, u <= w iff
+    min(u, su) <= sw, and su < u iff the wall of s separates A0 from u(A0).
+    Only the point of u(A0) and the length of u are carried."""
+    datum = w.datum
+    gens = coxeter_generators(datum)
+    walls = _generator_walls(datum)
+    word = _canonical_word_indices(w)
+    point = u.act_point(datum.sample_point())
+    lu = length(u)
+    for k, idx in enumerate(word):
+        if lu > len(word) - k:
             return False
-        if lw == 0:
-            return u.is_identity()
-        if u.is_identity():
+        if lu == 0:
             return True
-        s = gens[_first_left_descent(w)][1]
-        su = s * u
-        if length(su) < lu:
-            u = su
-        w = s * w
+        if _beyond(point, walls[idx]):
+            point = gens[idx][1].act_point(point)
+            lu -= 1
+    return lu == 0
 
 
 def bruhat_interval(
@@ -461,21 +466,12 @@ def _lower_interval(w: ExtAffineElt) -> frozenset[ExtAffineElt]:
     datum = w.datum
     dec = omega_decompose(w)
     gens = coxeter_generators(datum)
-    products: set[tuple] = set()
-    elements: dict[tuple, ExtAffineElt] = {}
     e = ExtAffineElt.identity(datum)
-    products.add(e.key())
-    elements[e.key()] = e
+    elements: dict[tuple, ExtAffineElt] = {e.key(): e}
     for idx in _canonical_word_indices(dec.wa):
         s = gens[idx][1]
-        new = {}
-        for k in products:
-            x = elements[k] * s
-            new[x.key()] = x
-        for k, x in new.items():
-            if k not in products:
-                products.add(k)
-                elements[k] = x
+        for x in [x * s for x in elements.values()]:
+            elements.setdefault(x.key(), x)
     return frozenset(x * dec.delta for x in elements.values())
 
 
@@ -647,27 +643,10 @@ def dominant_box(datum: RootDatum, radius: int) -> list[ExtAffineElt]:
 
 
 def alcove_element_of_point(datum: RootDatum, point: Point) -> ExtAffineElt:
-    """The affine Weyl group element w with point in w(A0), found by folding
-    the point into the base alcove with wall reflections."""
+    """The affine Weyl group element w with point in w(A0): the product of
+    the generators that fold the point into the base alcove."""
     gens = coxeter_generators(datum)
-    walls = _generator_walls(datum)
-    cur = point
-    applied: list[int] = []
-    while True:
-        moved = False
-        for idx, (beta, level) in enumerate(walls):
-            v = pair_point(cur, beta)
-            if v == level:
-                raise ValidationError("point lies on an affine wall")
-            violated = v < level if level == 0 else v > level
-            if violated:
-                cur = gens[idx][1].act_point(cur)
-                applied.append(idx)
-                moved = True
-                break
-        if not moved:
-            break
     out = ExtAffineElt.identity(datum)
-    for idx in applied:
+    for idx in _fold(datum, point):
         out = out * gens[idx][1]
     return out

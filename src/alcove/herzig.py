@@ -47,6 +47,7 @@ from .weights_dl import (
     DLPresentation,
     SerrePresentation,
     SerreWeight,
+    _outer_member,
     _require_depth,
     c0_presentations,
     d_sigma,
@@ -201,33 +202,22 @@ class EliminationCertificate:
     def verify(self) -> bool:
         datum = self.R.datum
         # outer membership by construction: sigma = F_{(w1, omega)} and
-        # R = R(t_{omega - u(v)} u) for v = (wh w1)^{-1}(0), u = outer_w
+        # R is the outer family member indexed by outer_w
         if self.presentation.weight() != self.sigma:
             return False
-        at_zero = (wh_element(datum) * self.presentation.w1).inverse().trans
-        nu_u = self.presentation.omega - self.outer_w.act(at_zero)
-        if self.R.elt.key() != ExtAffineElt(datum, nu_u, self.outer_w).key():
+        if self.R != _outer_member(self.presentation, self.outer_w):
             return False
         if depth_of(datum, self.presentation.omega - datum.eta()) < d_sigma(
             self.sigma
         ):
             return False
         # re-enumerate the admissible-degree re-presentations and re-test
-        degrees = tuple(
-            t - e
-            for t, e in zip(
-                self.tau.elt.omega_degrees(), datum.eta().degrees()
-            )
-        )
-        fresh = c0_presentations(self.R, min_depth=0, degrees=degrees)
+        fresh = _pinned_presentations(self.R, self.tau.elt)
         if {q.sort_key() for q in fresh} != {
             q.sort_key() for q in self.checked
         }:
             return False
-        admissible = adm_eta(datum)
-        return all(
-            q.elt.inverse() * self.tau.elt not in admissible for q in fresh
-        )
+        return _outside_adm(self.tau, fresh)
 
     def to_json(self) -> dict:
         return {
@@ -238,6 +228,23 @@ class EliminationCertificate:
             "presentation": self.presentation.to_json(),
             "checked_presentations": [q.to_json() for q in self.checked],
         }
+
+
+def _pinned_presentations(
+    R: DLPresentation, top: ExtAffineElt
+) -> list[DLPresentation]:
+    """The lowest-alcove presentations of R whose degrees are those of top
+    less those of eta: the only ones that can put top in t_nu s Adm(eta)."""
+    degrees = tuple(
+        t - e for t, e in zip(top.omega_degrees(), R.datum.eta().degrees())
+    )
+    return c0_presentations(R, min_depth=0, degrees=degrees)
+
+
+def _outside_adm(tau: TameParam, presentations: list[DLPresentation]) -> bool:
+    """Whether no presentation t_nu s in the list puts tau in t_nu s Adm(eta)."""
+    admissible = adm_eta(tau.datum)
+    return all(q.elt.inverse() * tau.elt not in admissible for q in presentations)
 
 
 def eliminate(sigma: SerreWeight, tau: TameParam) -> EliminationCertificate:
@@ -257,20 +264,12 @@ def eliminate(sigma: SerreWeight, tau: TameParam) -> EliminationCertificate:
             "sigma lies in the predicted set", witness=members[sigma]
         )
     pres = presentations_of(sigma)[0]
-    at_zero = (wh_element(datum) * pres.w1).inverse().trans
-    degrees = tuple(
-        t - e for t, e in zip(tau.elt.omega_degrees(), datum.eta().degrees())
-    )
-    admissible = adm_eta(datum)
     for u in all_weyl_elements(datum):
-        nu_u = pres.omega - u.act(at_zero)
-        R_u = DLPresentation(ExtAffineElt(datum, nu_u, u))
+        R_u = _outer_member(pres, u)
         if R_u.lowest_alcove_depth() is None:
             raise AssertionError("outer construction left the lowest alcove")
-        candidates = c0_presentations(R_u, min_depth=0, degrees=degrees)
-        if all(
-            q.elt.inverse() * tau.elt not in admissible for q in candidates
-        ):
+        candidates = _pinned_presentations(R_u, tau.elt)
+        if _outside_adm(tau, candidates):
             cert = EliminationCertificate(
                 sigma=sigma,
                 tau=tau,
@@ -597,7 +596,6 @@ def admissible_pair(rho: TameParam, tau: TameParam) -> bool:
     _require_depth(rho, datum.n - 1, "admissible_pair (rho)")
     _require_depth(tau, datum.n, "admissible_pair (tau)")
     admissible = adm_eta(datum)
-    eta_deg = datum.eta().degrees()
     # quantify over presentations: re-present rho over a window meeting every
     # X^0 class, then pin tau's degrees; membership is invariant under
     # simultaneous X^0 shifts.
@@ -606,10 +604,7 @@ def admissible_pair(rho: TameParam, tau: TameParam) -> bool:
     if rho.as_dl().sort_key() not in rho_keys:
         rho_reps.append(rho.as_dl())
     for rp in rho_reps:
-        tau_deg = tuple(
-            r - e for r, e in zip(rp.elt.omega_degrees(), eta_deg)
-        )
-        for tp in c0_presentations(tau.as_dl(), min_depth=0, degrees=tau_deg):
+        for tp in _pinned_presentations(tau.as_dl(), rp.elt):
             if rp.elt * tp.elt.inverse() in admissible:
                 return True
     return False

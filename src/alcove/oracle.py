@@ -14,6 +14,7 @@ mutations deliberately drop a hypothesis to demonstrate the harness can fail.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -38,13 +39,17 @@ from .root_data import (
     RootDatum,
     WeightVec,
     all_weyl_elements,
+    frobenius_pi,
     in_lowest_alcove,
     is_p_restricted,
     pair_point,
     pairing,
+    x0_shift,
 )
 
 ORACLE_LENGTH_BUDGET = 8
+ELIMINATION_CAP = 800
+WITNESS_CAP = 12
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +254,6 @@ class SweepConfig:
     box_radius: int = 3
     tau_samples: int = 4
     pair_samples: int = 6
-    elimination_cap: int = 800
     seed: int = 2024
     mutations: frozenset = frozenset()
     sweeps: tuple[str, ...] | None = None
@@ -266,8 +270,8 @@ class SweepResult:
     def passed(self) -> bool:
         return not self.counterexamples
 
-    def note(self, witness: dict, cap: int = 12) -> None:
-        if len(self.counterexamples) < cap:
+    def note(self, witness: dict) -> None:
+        if len(self.counterexamples) < WITNESS_CAP:
             self.counterexamples.append(witness)
         else:
             self.counterexamples[-1] = {"suppressed": "further witnesses"}
@@ -514,8 +518,6 @@ def _sweep_zero_gen(datum: RootDatum, config: SweepConfig, res: SweepResult) -> 
     """Rigidity of lowest-alcove presentations: two presentations over the
     lowest alcove whose translation parts differ by a root-lattice element
     name the same representation only when they are identical."""
-    from .root_data import frobenius_pi, x0_shift
-
     rng = random.Random(config.seed)
     weyl = all_weyl_elements(datum)
     drop_lattice = "drop-lattice-hypothesis" in config.mutations
@@ -660,8 +662,6 @@ def _compatible_inclusion(
     """Whether some X^0 shift of sigma's presentation nests its translated
     interval inside kappa's."""
     datum = kappa_pres.datum
-    from .root_data import x0_shift
-
     big = _interval_set(kappa_pres)
     top_k = aw.w0_element(datum) * kappa_pres.w1
     top_s = aw.w0_element(datum) * sigma_pres.w1
@@ -768,16 +768,12 @@ def _restricted_weight_pool(datum: RootDatum) -> list[wd.SerreWeight]:
     isomorphism class.  The p-restricted condition bounds only the simple
     pairings, so every per-embedding difference vector in [0, p-1]^{n-1} is
     admissible, including the upper alcoves."""
-    import itertools as it
-
-    from .root_data import x0_shift
-
     out = []
     seen = set()
     p, f, n = datum.p, datum.f, datum.n
-    rows = list(it.product(range(p), repeat=n - 1))
+    rows = list(itertools.product(range(p), repeat=n - 1))
     digit_classes = range(p**f - 1)
-    for pattern in it.product(rows, repeat=f):
+    for pattern in itertools.product(rows, repeat=f):
         base_rows = []
         for j in range(f):
             row = [0] * n
@@ -802,10 +798,10 @@ def _restricted_weight_pool(datum: RootDatum) -> list[wd.SerreWeight]:
 def _sweep_elimination(datum: RootDatum, config: SweepConfig, res: SweepResult) -> None:
     rng = random.Random(config.seed + 8)
     pool = _restricted_weight_pool(datum)
-    if len(pool) > config.elimination_cap:
+    if len(pool) > ELIMINATION_CAP:
         # deterministic stride keeps the sweep exhaustive in spirit while
         # bounding the run; the cap is part of the sweep's declared box
-        stride = -(-len(pool) // config.elimination_cap)
+        stride = -(-len(pool) // ELIMINATION_CAP)
         pool = pool[::stride]
     for tau in _deep_tau_samples(datum, max(2, config.tau_samples // 2), datum.h_eta, rng):
         members = hz.wset(tau)

@@ -82,10 +82,7 @@ class SerreWeight:
     def from_weight(datum: RootDatum, lam: WeightVec) -> "SerreWeight":
         if not is_p_restricted(datum, lam):
             raise ValidationError(f"highest weight not p-restricted: {lam.entries}")
-        last = tuple(row[-1] for row in lam.entries)
-        digits = _x0_class_digits(datum, last)
-        shift = x0_shift(datum, [d - a for d, a in zip(digits, last)])
-        return SerreWeight(datum, lam + shift)
+        return SerreWeight(datum, _canonical_omega(datum, lam))
 
     @property
     def depth(self) -> int:
@@ -518,6 +515,14 @@ def jh_outer(R: DLPresentation) -> list[tuple[FiniteWeylElt, SerreWeight]]:
     return out
 
 
+def _outer_member(pres: SerrePresentation, u: FiniteWeylElt) -> DLPresentation:
+    """R(t_{omega - u(v)} u) for v = (wh w1)^{-1}(0): the member indexed by u
+    of the family of representations with the weight of pres as an outer
+    factor."""
+    at_zero = (wh_element(pres.datum) * pres.w1).inverse().trans
+    return DLPresentation(ExtAffineElt(pres.datum, pres.omega - u.act(at_zero), u))
+
+
 def covers(kappa: SerreWeight, sigma: SerreWeight) -> bool:
     """The covering order: sigma lies in the Jordan-Holder set of every
     Deligne-Lusztig representation with kappa among its outer factors.  That
@@ -531,13 +536,9 @@ def covers(kappa: SerreWeight, sigma: SerreWeight) -> bool:
             f"(found {kappa.depth})"
         )
     pres = presentations_of(kappa)[0]
-    at_zero = (wh_element(datum) * pres.w1).inverse().trans
-    for u in all_weyl_elements(datum):
-        nu_u = pres.omega - u.act(at_zero)
-        R_u = DLPresentation(ExtAffineElt(datum, nu_u, u))
-        if sigma not in jh_set(R_u):
-            return False
-    return True
+    return all(
+        sigma in jh_set(_outer_member(pres, u)) for u in all_weyl_elements(datum)
+    )
 
 
 def outer_family(kappa: SerreWeight) -> list[DLPresentation]:
@@ -546,8 +547,4 @@ def outer_family(kappa: SerreWeight) -> list[DLPresentation]:
     if kappa.depth < d_sigma(kappa):
         raise DepthError("outer_family requires kappa to be d_sigma-deep")
     pres = presentations_of(kappa)[0]
-    at_zero = (wh_element(datum) * pres.w1).inverse().trans
-    return [
-        DLPresentation(ExtAffineElt(datum, pres.omega - u.act(at_zero), u))
-        for u in all_weyl_elements(datum)
-    ]
+    return [_outer_member(pres, u) for u in all_weyl_elements(datum)]

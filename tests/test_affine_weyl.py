@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from alcove.affine_weyl import (
     ExtAffineElt,
+    _canonical_word_indices,
     _dominance_window,
     adm_contains,
     adm_eta,
@@ -141,6 +142,28 @@ class TestReducedWords:
                 word = reduced_word(x)
                 assert replay_word(datum, word) == x
                 assert len([w for w in word if not w.startswith("omega")]) == length(x)
+
+    @pytest.mark.parametrize(
+        "nfp, max_length", [((3, 1, 37), 6), ((2, 2, 7), 6), ((4, 1, 23), 4)]
+    )
+    def test_each_letter_is_the_first_shortening_generator(self, nfp, max_length):
+        # reference: each letter is the first generator that shortens what is
+        # left of the element, decided by length alone
+        datum = RootDatum(*nfp)
+        gens = [s for _, s in coxeter_generators(datum)]
+        for x in elements_of_length_leq(datum, max_length):
+            cur = x
+            for idx in _canonical_word_indices(x):
+                lc = length(cur)
+                assert idx == next(
+                    i for i, s in enumerate(gens) if length(s * cur) < lc
+                )
+                cur = gens[idx] * cur
+            assert cur.is_identity()
+
+    def test_word_outside_the_affine_weyl_group_is_refused(self, d2, u2):
+        with pytest.raises(ValidationError):
+            _canonical_word_indices(u2)
 
     def test_translation_word_includes_omega_part(self, d2):
         t10 = ExtAffineElt.from_translation(d2, d2.weight([[1, 0]]))
@@ -429,6 +452,8 @@ class TestUpOrder:
             w = affine_reflection(datum, beta, level) * u
             x = u.act_point(datum.sample_point())
             assert up_leq(u, w) == (pair_point(x, beta) < level)
+            # u and r u are comparable, in the order of their lengths
+            assert bruhat_leq(u, w) == (length(u) < length(w))
 
     @pytest.mark.parametrize(
         "nfp, radii, count",

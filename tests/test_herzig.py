@@ -7,6 +7,7 @@ import pytest
 
 from alcove.affine_weyl import (
     ExtAffineElt,
+    _generator_walls,
     coxeter_generators,
     in_omega,
     restricted_reps,
@@ -101,7 +102,7 @@ class TestImmutableResults:
                 view.clear()
             with pytest.raises((TypeError, AttributeError)):
                 view[sigma] = None
-        for seq in (restricted_reps(d2), coxeter_generators(d2)):
+        for seq in (restricted_reps(d2), coxeter_generators(d2), _generator_walls(d2)):
             with pytest.raises((TypeError, AttributeError)):
                 seq.pop()
             with pytest.raises((TypeError, AttributeError)):

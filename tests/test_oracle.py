@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import ast
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
+import alcove
 from alcove import affine_weyl as aw
 from alcove.affine_weyl import ExtAffineElt, omega_generator
 from alcove.oracle import (
@@ -199,3 +202,19 @@ class TestSweeps:
         report = lemma_sweeps(cfg)
         assert not report.passed
         assert any(r.counterexamples for r in report.results)
+
+
+@pytest.mark.parametrize("module", ["root_data", "affine_weyl", "weights_dl", "herzig"])
+def test_fast_layer_does_not_import_the_oracle(module):
+    # the oracle is an independent reference only while the fast layer
+    # shares none of its code
+    source = (Path(alcove.__file__).parent / f"{module}.py").read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["alcove" if node.level else "", node.module]))
+            imported.add(base)
+            imported.update(f"{base}.{alias.name}" for alias in node.names)
+    assert not imported & {"alcove.oracle", "alcove.presentation_scan"}
