@@ -347,9 +347,12 @@ def separating_hyperplanes(w: ExtAffineElt) -> set[tuple[Root, int]]:
 # region membership
 
 
-def _simple_pairings(w: ExtAffineElt) -> list[Fraction]:
-    pt = w.act_point(w.datum.sample_point())
-    return [pair_point(pt, beta) for beta in w.datum.simple_roots()]
+def _simple_pairings(w: ExtAffineElt) -> list[int]:
+    """n times the simple pairings of the sample point of w(A0).  That point
+    is w(eta / n), so these are the integer pairings of n trans + fin(eta)."""
+    datum = w.datum
+    lam = w.trans.scale(datum.n) + w.fin.act(datum.eta())
+    return [pairing(lam, beta) for beta in datum.simple_roots()]
 
 
 def is_dominant_elt(w: ExtAffineElt) -> bool:
@@ -358,8 +361,10 @@ def is_dominant_elt(w: ExtAffineElt) -> bool:
 
 
 def is_restricted_elt(w: ExtAffineElt) -> bool:
-    """w(A0) restricted: simple pairings within (0, 1)."""
-    return all(0 < v < 1 for v in _simple_pairings(w))
+    """w(A0) restricted: simple pairings within (0, 1), that is n times them
+    within (0, n)."""
+    n = w.datum.n
+    return all(0 < v < n for v in _simple_pairings(w))
 
 
 def in_omega(w: ExtAffineElt) -> bool:
@@ -458,11 +463,13 @@ def bruhat_interval(
         raise BudgetError(
             f"interval of an element of length {length(w)} exceeds budget {budget}"
         )
-    return sorted(_lower_interval(w), key=lambda x: (length(x), x.key()))
+    return list(_lower_interval(w))
 
 
 @functools.cache
-def _lower_interval(w: ExtAffineElt) -> frozenset[ExtAffineElt]:
+def _lower_interval(w: ExtAffineElt) -> tuple[ExtAffineElt, ...]:
+    """The lower interval of w in (length, key) order, sorted once, when the
+    memo fills."""
     datum = w.datum
     dec = omega_decompose(w)
     gens = coxeter_generators(datum)
@@ -472,7 +479,8 @@ def _lower_interval(w: ExtAffineElt) -> frozenset[ExtAffineElt]:
         s = gens[idx][1]
         for x in [x * s for x in elements.values()]:
             elements.setdefault(x.key(), x)
-    return frozenset(x * dec.delta for x in elements.values())
+    interval = (x * dec.delta for x in elements.values())
+    return tuple(sorted(interval, key=lambda x: (length(x), x.key())))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from .root_data import (
     Root,
     RootDatum,
     ValidationError,
+    WeightVec,
     all_weyl_elements,
     depth_of,
     in_lowest_alcove,
@@ -114,9 +115,8 @@ def _wset_with_presentations(
     eta = datum.eta()
     out: dict[SerreWeight, SerrePresentation] = {}
 
-    for rep in restricted_reps(datum):
-        top = w0_element(datum) * rep
-        for x in bruhat_interval(top):
+    for rep, by_fin in _wset_table(datum):
+        for x in by_fin.get(tau.elt.fin, ()):
             y = tau.elt * x.inverse()
             if not y.fin.is_identity():
                 continue
@@ -126,6 +126,22 @@ def _wset_with_presentations(
             pres = SerrePresentation(rep, omega)
             out.setdefault(pres.weight(), pres)
     return MappingProxyType(out)
+
+
+@functools.cache
+def _wset_table(datum: RootDatum) -> tuple[tuple[ExtAffineElt, MappingProxyType], ...]:
+    """Per restricted rep, the interval below w0 rep grouped by finite part,
+    each group in interval order: t_mu s x^{-1} is a translation only when
+    x has the finite part s."""
+    table = []
+    for rep in restricted_reps(datum):
+        by_fin: dict[FiniteWeylElt, list[ExtAffineElt]] = {}
+        for x in bruhat_interval(w0_element(datum) * rep):
+            by_fin.setdefault(x.fin, []).append(x)
+        table.append(
+            (rep, MappingProxyType({k: tuple(v) for k, v in by_fin.items()}))
+        )
+    return tuple(table)
 
 
 def wset(tau: TameParam) -> frozenset[SerreWeight]:
@@ -316,8 +332,9 @@ class ConnectionEdge:
         )
         if (self.R.elt * factor).key() != tau.elt.key():
             return False
-        a, b = _designated_outer_pair(self.R, self.alpha, self.w2)
-        return (a, b) == (self.sigma, self.sigma2)
+        lifts = _outer_lifts(self.alpha, self.w2)
+        pair = tuple(_outer_weight(self.R, lift) for lift in lifts)
+        return pair == (self.sigma, self.sigma2)
 
     def to_json(self) -> dict:
         return {
@@ -330,23 +347,47 @@ class ConnectionEdge:
         }
 
 
-def _designated_outer_pair(
-    R: DLPresentation, alpha: Root, w2: ExtAffineElt
-) -> tuple[SerreWeight, SerreWeight]:
-    """Outer factors of R corresponding to w0 w2 and w0 s_alpha w2, computed
-    from the restricted lifts w2 and (s_alpha w2)^diamond."""
-    datum = R.datum
+def _outer_lifts(
+    alpha: Root, w2: ExtAffineElt
+) -> tuple[tuple[ExtAffineElt, WeightVec], ...]:
+    """The tau-independent halves (wh^{-1} lift, lift^{-1}(0)) of the outer
+    factors corresponding to w0 w2 and w0 s_alpha w2, from the restricted
+    lifts w2 and (s_alpha w2)^diamond."""
+    datum = w2.datum
     wh_inv = wh_element(datum).inverse()
-    s_alpha = simple_reflection(datum, alpha)
+    lifts = (w2, diamond(simple_reflection(datum, alpha) * w2))
+    return tuple((wh_inv * lift, lift.inverse().trans) for lift in lifts)
 
-    def outer_from_lift(lift: ExtAffineElt) -> SerreWeight:
-        elt = wh_inv * lift
-        omega = R.elt.act_weight(lift.inverse().trans)
-        return SerrePresentation(elt, omega).weight()
 
-    first = outer_from_lift(w2)
-    second = outer_from_lift(diamond(s_alpha * w2))
-    return first, second
+def _outer_weight(
+    R: DLPresentation, lift: tuple[ExtAffineElt, WeightVec]
+) -> SerreWeight:
+    """The outer factor of R given by one half from :func:`_outer_lifts`."""
+    elt, back = lift
+    return SerrePresentation(elt, R.elt.act_weight(back)).weight()
+
+
+@functools.cache
+def _edge_factors(datum: RootDatum) -> tuple[tuple, ...]:
+    """One row (alpha, w2, w1, (w2^{-1} s_alpha w0 w1)^{-1}, outer lifts)
+    per simple root alpha, restricted w2 and dominant w1 below wh^{-1} w2 in
+    the raising order, in enumeration order."""
+    w0 = w0_element(datum)
+    wh_inv = wh_element(datum).inverse()
+    rows = []
+    for alpha in datum.simple_roots():
+        s_alpha = simple_reflection(datum, alpha)
+        for w2 in restricted_reps(datum):
+            bound = wh_inv * w2
+            if not is_dominant_elt(bound):
+                raise AssertionError("wh^{-1} w2 left the dominant region")
+            lifts = _outer_lifts(alpha, w2)
+            for w1 in bruhat_interval(bound):
+                if not is_dominant_elt(w1):
+                    continue
+                factor = w2.inverse() * s_alpha * w0 * w1
+                rows.append((alpha, w2, w1, factor.inverse(), lifts))
+    return tuple(rows)
 
 
 def enumerate_edges(tau: TameParam) -> list[ConnectionEdge]:
@@ -357,38 +398,19 @@ def enumerate_edges(tau: TameParam) -> list[ConnectionEdge]:
     datum = tau.datum
     _require_depth(tau, datum.h_eta, "enumerate_edges")
     members = wset(tau)
-    w0 = w0_element(datum)
-    wh_inv = wh_element(datum).inverse()
 
     edges = []
-    for alpha in datum.simple_roots():
-        s_alpha = simple_reflection(datum, alpha)
-        for w2 in restricted_reps(datum):
-            bound = wh_inv * w2
-            if not is_dominant_elt(bound):
-                raise AssertionError("wh^{-1} w2 left the dominant region")
-            for w1 in bruhat_interval(bound):
-                if not is_dominant_elt(w1):
-                    continue
-                factor = w2.inverse() * s_alpha * w0 * w1
-                w = tau.elt * factor.inverse()
-                if not in_lowest_alcove(
-                    datum, w.trans - datum.eta(), depth=datum.h_eta
-                ):
-                    continue
-                R = DLPresentation(w)
-                a, b = _designated_outer_pair(R, alpha, w2)
-                if a == b:
-                    continue
-                if a not in members or b not in members:
-                    raise AssertionError(
-                        "designated outer weight escaped the predicted set"
-                    )
-                edges.append(
-                    ConnectionEdge(
-                        sigma=a, sigma2=b, R=R, alpha=alpha, w1=w1, w2=w2
-                    )
-                )
+    for alpha, w2, w1, factor_inv, lifts in _edge_factors(datum):
+        w = tau.elt * factor_inv
+        if not in_lowest_alcove(datum, w.trans - datum.eta(), depth=datum.h_eta):
+            continue
+        R = DLPresentation(w)
+        a, b = (_outer_weight(R, lift) for lift in lifts)
+        if a == b:
+            continue
+        if a not in members or b not in members:
+            raise AssertionError("designated outer weight escaped the predicted set")
+        edges.append(ConnectionEdge(sigma=a, sigma2=b, R=R, alpha=alpha, w1=w1, w2=w2))
     return edges
 
 

@@ -12,6 +12,7 @@ from alcove.affine_weyl import (
     ExtAffineElt,
     _canonical_word_indices,
     _dominance_window,
+    _simple_pairings,
     adm_contains,
     adm_eta,
     affine_reflection,
@@ -319,6 +320,20 @@ class TestRegionMembership:
 
     def test_w0_not_dominant(self, d3):
         assert not is_dominant_elt(w0_element(d3))
+
+    @pytest.mark.parametrize(
+        "nfp, max_length", [((3, 1, 37), 5), ((2, 2, 7), 5), ((4, 1, 23), 4)]
+    )
+    def test_integer_pairings_scale_the_sample_point(self, nfp, max_length):
+        # reference: the exact rational pairings of the sample point of w(A0)
+        datum = RootDatum(*nfp)
+        sample = datum.sample_point()
+        for degrees in ((0,) * datum.f, (1,) * datum.f):
+            for w in elements_of_length_leq(datum, max_length, degrees):
+                point = w.act_point(sample)
+                assert _simple_pairings(w) == [
+                    datum.n * pair_point(point, beta) for beta in datum.simple_roots()
+                ]
 
     def test_restricted_reps_count_and_canonical(self, d2, d3, d22):
         for datum in (d2, d3, d22):

@@ -5,16 +5,27 @@ import random
 
 import pytest
 
+from alcove import herzig
 from alcove.affine_weyl import (
     ExtAffineElt,
     _generator_walls,
+    bruhat_interval,
     coxeter_generators,
+    diamond,
     in_omega,
+    is_dominant_elt,
+    length,
     restricted_reps,
+    simple_reflection,
+    w0_element,
+    wh_element,
 )
 from alcove.herzig import (
+    ConnectionEdge,
     NotEliminableError,
     TameParam,
+    _edge_factors,
+    _wset_table,
     admissible_pair,
     connect,
     connectivity_graph,
@@ -35,9 +46,16 @@ from alcove.root_data import (
     FiniteWeylElt,
     RootDatum,
     all_weyl_elements,
+    in_lowest_alcove,
     is_p_restricted,
 )
-from alcove.weights_dl import SerreWeight, d_sigma, jh_set
+from alcove.weights_dl import (
+    DLPresentation,
+    SerrePresentation,
+    SerreWeight,
+    d_sigma,
+    jh_set,
+)
 
 
 def tame(datum, rows, perm=None):
@@ -102,15 +120,99 @@ class TestImmutableResults:
                 view.clear()
             with pytest.raises((TypeError, AttributeError)):
                 view[sigma] = None
-        for seq in (restricted_reps(d2), coxeter_generators(d2), _generator_walls(d2)):
+        for seq in (
+            restricted_reps(d2),
+            coxeter_generators(d2),
+            _generator_walls(d2),
+            _wset_table(d2),
+            _edge_factors(d2),
+        ):
             with pytest.raises((TypeError, AttributeError)):
                 seq.pop()
             with pytest.raises((TypeError, AttributeError)):
                 seq[0] = None
+        for rep, by_fin in _wset_table(d2):
+            with pytest.raises(TypeError):
+                by_fin[rep.fin] = ()
+        top = w0_element(d2) * restricted_reps(d2)[1]
+        interval = bruhat_interval(top)
+        bruhat_interval(top).clear()
+        assert bruhat_interval(top) == interval
         assert (wset(tau2), wobv(tau2)) == (members, obvious)
         assert list(restricted_reps(d2)) == reps
         assert list(coxeter_generators(d2)) == gens
         assert len(members) == 2
+
+
+def _by_length(elements):
+    return sorted(elements, key=lambda x: (length(x), x.key()))
+
+
+def _reference_wset(tau):
+    """The scan of every element of each sorted interval below w0 rep."""
+    datum = tau.datum
+    out = {}
+    for rep in restricted_reps(datum):
+        for x in _by_length(bruhat_interval(w0_element(datum) * rep)):
+            y = tau.elt * x.inverse()
+            if not y.fin.is_identity():
+                continue
+            if not in_lowest_alcove(datum, y.trans - datum.eta()):
+                continue
+            pres = SerrePresentation(rep, y.trans)
+            out.setdefault(pres.weight(), pres)
+    return list(out.items())
+
+
+def _reference_edges(tau):
+    """The nested alpha / w2 / w1 loop, every product formed per tau."""
+    datum = tau.datum
+    w0, wh_inv = w0_element(datum), wh_element(datum).inverse()
+    out = []
+    for alpha in datum.simple_roots():
+        s_alpha = simple_reflection(datum, alpha)
+        for w2 in restricted_reps(datum):
+            for w1 in _by_length(bruhat_interval(wh_inv * w2)):
+                if not is_dominant_elt(w1):
+                    continue
+                w = tau.elt * (w2.inverse() * s_alpha * w0 * w1).inverse()
+                if not in_lowest_alcove(datum, w.trans - datum.eta(), depth=datum.h_eta):
+                    continue
+                R = DLPresentation(w)
+                a, b = (
+                    SerrePresentation(
+                        wh_inv * lift, R.elt.act_weight(lift.inverse().trans)
+                    ).weight()
+                    for lift in (w2, diamond(s_alpha * w2))
+                )
+                if a != b:
+                    out.append(ConnectionEdge(a, b, R, alpha, w1, w2).to_json())
+    return out
+
+
+class TestPerDatumTables:
+    @pytest.mark.parametrize(
+        "nfp, count", [((3, 1, 37), 3), ((2, 2, 13), 3), ((3, 2, 37), 1), ((4, 1, 29), 1)]
+    )
+    def test_outputs_and_order_match_the_per_tau_loops(self, nfp, count):
+        # order matters: setdefault keeps the first witness presentation
+        datum = RootDatum(*nfp)
+        for tau in _deep_tau_samples(datum, count, datum.h_eta, random.Random(23)):
+            assert list(wset_with_presentations(tau).items()) == _reference_wset(tau)
+            assert [e.to_json() for e in enumerate_edges(tau)] == _reference_edges(tau)
+
+    def test_warm_datum_needs_no_interval_or_diamond(self, d3, monkeypatch):
+        first, fresh = _deep_tau_samples(d3, 2, 2 * d3.h_eta, random.Random(29))
+        connectivity_graph(first)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-tau call into a per-datum step")
+
+        monkeypatch.setattr(herzig, "bruhat_interval", refuse)
+        monkeypatch.setattr(herzig, "diamond", refuse)
+        assert len(wset(fresh)) == 9
+        assert len(wobv(fresh)) == 6
+        assert connectivity_graph(fresh).is_connected()
 
 
 class TestWobv:
