@@ -7,8 +7,9 @@ stabilizer of the base alcove, is free abelian on one generator per
 embedding (u_j = t_{e_0} . (n-cycle) in factor j).
 
 Lengths come in two flavours: a closed-form evaluation (used everywhere) and
-an independent hyperplane-count in :mod:`alcove.oracle`.  Left descents are
-read off by folding a point of w(A0) into A0 across the walls of A0, which
+an independent hyperplane-count in :mod:`alcove.oracle`.  Every alcove test
+locates w(A0) by an integer point, n times its sample point.  Left descents
+are read off by folding that point into A0 across the walls of A0, which
 gives the canonical reduced word; the Bruhat order is a walk along that word
 whose descents are read off the same way.  The Jantzen-style raising order is
 decided by the Bruhat order on a dominant translate of the two alcoves.
@@ -18,14 +19,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .root_data import (
     BudgetError,
     FiniteWeylElt,
-    InconclusiveRegionError,
     Point,
     Root,
     RootDatum,
@@ -33,7 +31,6 @@ from .root_data import (
     WeightVec,
     all_weyl_elements,
     frobenius_pi_inv,
-    pair_point,
     pairing,
     pi_weyl_inv,
     x0_shift,
@@ -98,11 +95,16 @@ class ExtAffineElt:
         return (self.trans.entries, self.fin.perms)
 
 
+def _act_scaled(w: ExtAffineElt, point: WeightVec, scale: int) -> WeightVec:
+    """scale . w(point / scale) = scale trans + fin(point): the action of w on
+    a point that is stored multiplied by scale."""
+    return w.trans.scale(scale) + w.fin.act(point)
+
+
 def p_dot(w: ExtAffineElt, lam: WeightVec) -> WeightVec:
     """The p-dot action (t_nu v) . lam = p nu + v(lam + eta) - eta."""
-    datum = w.datum
-    eta = datum.eta()
-    return w.trans.scale(datum.p) + w.fin.act(lam + eta) - eta
+    eta = w.datum.eta()
+    return _act_scaled(w, lam + eta, w.datum.p) - eta
 
 
 def pi_elt_inv(w: ExtAffineElt) -> ExtAffineElt:
@@ -199,7 +201,7 @@ def _canonical_word_indices(wa: ExtAffineElt) -> tuple[int, ...]:
     of a point of wa(A0), so each letter is the first left descent."""
     if any(wa.omega_degrees()):
         raise ValidationError("element is not in the affine Weyl group")
-    return tuple(_fold(wa.datum, wa.act_point(wa.datum.sample_point())))
+    return tuple(_fold(wa.datum, _alcove_point(wa), wa.datum.n))
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,31 +286,40 @@ def _generator_walls(datum: RootDatum) -> tuple[tuple[Root, int], ...]:
     return tuple(walls)
 
 
-def _beyond(point: Point, wall: tuple[Root, int]) -> bool:
-    """Whether the wall of A0 separates point from A0; a point on the wall is
-    refused."""
+def _alcove_point(w: ExtAffineElt) -> WeightVec:
+    """n times the sample point of w(A0).  The sample point of A0 is eta / n,
+    so this is the integer weight n trans + fin(eta)."""
+    return _act_scaled(w, w.datum.eta(), w.datum.n)
+
+
+def _beyond(point: WeightVec, wall: tuple[Root, int], scale: int) -> bool:
+    """Whether the wall of A0 separates point / scale from A0; a point on the
+    wall is refused."""
     beta, level = wall
-    v = pair_point(point, beta)
-    if v == level:
+    v = pairing(point, beta)
+    if v == level * scale:
         raise ValidationError("point lies on an affine wall")
-    return v < 0 if level == 0 else v > 1
+    return v < 0 if level == 0 else v > scale
 
 
-def _fold(datum: RootDatum, point: Point) -> list[int]:
-    """Fold point into A0, each time across the first wall of A0 that it lies
-    beyond.  The generators applied, multiplied in order, carry A0 to the
-    alcove of point.  Since l(s w) < l(w) iff the wall of s separates A0 from
-    w(A0) (Humphreys, Reflection Groups and Coxeter Groups, 4.5), each letter
-    is the first left descent of what is left, so the word is reduced."""
+def _fold(datum: RootDatum, point: WeightVec, scale: int) -> list[int]:
+    """Fold point / scale into A0, each time across the first wall of A0 that
+    it lies beyond.  The generators applied, multiplied in order, carry A0 to
+    the alcove of point / scale.  Since l(s w) < l(w) iff the wall of s
+    separates A0 from w(A0) (Humphreys, Reflection Groups and Coxeter Groups,
+    4.5), each letter is the first left descent of what is left, so the word
+    is reduced."""
     gens = coxeter_generators(datum)
     walls = _generator_walls(datum)
     word: list[int] = []
     while True:
-        idx = next((i for i, wall in enumerate(walls) if _beyond(point, wall)), None)
+        idx = next(
+            (i for i, wall in enumerate(walls) if _beyond(point, wall, scale)), None
+        )
         if idx is None:
             return word
         word.append(idx)
-        point = gens[idx][1].act_point(point)
+        point = _act_scaled(gens[idx][1], point, scale)
 
 
 def minimal_gallery(w: ExtAffineElt) -> Gallery:
@@ -326,33 +337,14 @@ def minimal_gallery(w: ExtAffineElt) -> Gallery:
     return Gallery(tuple(crossings))
 
 
-def separating_hyperplanes(w: ExtAffineElt) -> set[tuple[Root, int]]:
-    """Set of affine hyperplanes separating the open base alcove from w(A0),
-    computed from exact vertex evaluations."""
-    datum = w.datum
-    out: set[tuple[Root, int]] = set()
-    images = [w.act_weight(v) for v in datum.base_vertices()]
-    for beta in datum.positive_roots():
-        vals = [pairing(img, beta) for img in images]
-        lo, hi = min(vals), max(vals)
-        # image strip is (lo, hi) = (c, c+1); base strip is (0, 1)
-        if lo >= 1:
-            out.update((beta, k) for k in range(1, lo + 1))
-        elif hi <= 0:
-            out.update((beta, k) for k in range(hi, 1))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # region membership
 
 
 def _simple_pairings(w: ExtAffineElt) -> list[int]:
-    """n times the simple pairings of the sample point of w(A0).  That point
-    is w(eta / n), so these are the integer pairings of n trans + fin(eta)."""
-    datum = w.datum
-    lam = w.trans.scale(datum.n) + w.fin.act(datum.eta())
-    return [pairing(lam, beta) for beta in datum.simple_roots()]
+    """n times the simple pairings of the sample point of w(A0)."""
+    point = _alcove_point(w)
+    return [pairing(point, beta) for beta in w.datum.simple_roots()]
 
 
 def is_dominant_elt(w: ExtAffineElt) -> bool:
@@ -389,15 +381,13 @@ def diamond(w: ExtAffineElt) -> ExtAffineElt:
     each embedding component of the result's translation part to be 0.
     """
     datum = w.datum
-    y = w.act_point(datum.sample_point())
+    n = datum.n
     shift_rows = []
-    for j in range(datum.f):
-        row = y[j]
-        nu = [0] * datum.n
-        for i in range(datum.n - 2, -1, -1):
-            # unique integer with 0 < (row[i] + nu[i]) - (row[i+1] + nu[i+1]) < 1
-            lo = row[i + 1] + nu[i + 1] - row[i]
-            nu[i] = math.floor(lo) + 1
+    for row in _alcove_point(w).entries:
+        nu = [0] * n
+        for i in range(n - 2, -1, -1):
+            # unique integer with 0 < (row[i] + n nu[i]) - (row[i+1] + n nu[i+1]) < n
+            nu[i] = (row[i + 1] + n * nu[i + 1] - row[i]) // n + 1
         shift_rows.append(tuple(nu))
     cand = ExtAffineElt.from_translation(datum, WeightVec(tuple(shift_rows))) * w
     # normalize the X^0 ambiguity: minimum translation entry 0 per embedding
@@ -441,15 +431,15 @@ def _bruhat_wa(u: ExtAffineElt, w: ExtAffineElt) -> bool:
     gens = coxeter_generators(datum)
     walls = _generator_walls(datum)
     word = _canonical_word_indices(w)
-    point = u.act_point(datum.sample_point())
+    point = _alcove_point(u)
     lu = length(u)
     for k, idx in enumerate(word):
         if lu > len(word) - k:
             return False
         if lu == 0:
             return True
-        if _beyond(point, walls[idx]):
-            point = gens[idx][1].act_point(point)
+        if _beyond(point, walls[idx], datum.n):
+            point = _act_scaled(gens[idx][1], point, datum.n)
             lu -= 1
     return lu == 0
 
@@ -487,33 +477,18 @@ def _lower_interval(w: ExtAffineElt) -> tuple[ExtAffineElt, ...]:
 # the raising (Jantzen) order
 
 
-def _prefix_sums(row) -> tuple:
-    out = []
-    acc = 0
-    for a in row:
-        acc += a
-        out.append(acc)
-    return tuple(out)
+def _dominates(lo: WeightVec, hi: WeightVec) -> bool:
+    """Whether hi is above lo in the dominance order: each prefix sum of each
+    row of lo is at most the matching prefix sum of hi.  A chain of raising
+    moves from lo to hi exists only if this holds."""
+    return all(
+        a <= b
+        for row_lo, row_hi in zip(lo.entries, hi.entries)
+        for a, b in zip(itertools.accumulate(row_lo), itertools.accumulate(row_hi))
+    )
 
 
-def _dominance_window(datum: RootDatum, lo: Point, hi: Point):
-    """Per-embedding prefix-sum window [prefix(lo), prefix(hi)] bounding every
-    chain of raising moves from lo to hi, or None if hi is not above lo."""
-    los, his = [], []
-    for j in range(datum.f):
-        pl, ph = _prefix_sums(lo[j]), _prefix_sums(hi[j])
-        if pl[-1] != ph[-1]:
-            return None
-        if any(a > b for a, b in zip(pl, ph)):
-            return None
-        los.append(pl)
-        his.append(ph)
-    return los, his
-
-
-def up_leq(
-    u: ExtAffineElt, w: ExtAffineElt, box: int | None = None
-) -> bool:
+def up_leq(u: ExtAffineElt, w: ExtAffineElt) -> bool:
     """The raising order on the extended group: equal Omega parts, and the
     alcove of u below the alcove of w in the Jantzen order.
 
@@ -521,46 +496,23 @@ def up_leq(
     alcoves it equals the Bruhat order (Lusztig, Adv. Math. 1980; the oracle
     suite cross-validates this against a chain search).  So both elements are
     translated by the smallest sum of fundamental weights that makes them
-    dominant, and the Bruhat order decides there.  A user-supplied ``box``
-    (max absolute coordinate of the points on a raising chain) is checked
-    against the dominance window spanned by the two alcoves, which provably
-    contains every such chain, raising :class:`InconclusiveRegionError` if
-    the window does not fit inside it.
+    dominant, and the Bruhat order decides there.
     """
     if u.omega_degrees() != w.omega_degrees():
         return False
     if u.key() == w.key():
         return True
     datum = u.datum
-    lo = u.act_point(datum.sample_point())
-    hi = w.act_point(datum.sample_point())
-    window = _dominance_window(datum, lo, hi)
-    if box is not None:
-        bound = Fraction(box)
-        if any(abs(v) > bound for row in itertools.chain(lo, hi) for v in row):
-            raise InconclusiveRegionError(
-                f"an input element lies outside the bounding box {box}"
-            )
-        if window is not None:
-            # every chain point has coordinate t in [lo_t - hi_{t-1}, hi_t - lo_{t-1}]
-            los, his = window
-            for j in range(datum.f):
-                for t in range(datum.n):
-                    pl = los[j][t - 1] if t else Fraction(0)
-                    ph = his[j][t - 1] if t else Fraction(0)
-                    if max(abs(los[j][t] - ph), abs(his[j][t] - pl)) > bound:
-                        raise InconclusiveRegionError(
-                            f"bounding box {box} does not contain the chain "
-                            "search region"
-                        )
-    if window is None:
+    lo, hi = _alcove_point(u), _alcove_point(w)
+    # equal Omega degrees give equal row sums, so prefix sums decide dominance
+    if not _dominates(lo, hi):
         return False
     lam = datum.zero()
     for alpha in datum.simple_roots():
         k = max(
             0,
-            math.floor(-pair_point(lo, alpha)) + 1,
-            math.floor(-pair_point(hi, alpha)) + 1,
+            -pairing(lo, alpha) // datum.n + 1,
+            -pairing(hi, alpha) // datum.n + 1,
         )
         lam = lam + datum.omega_alpha(alpha).scale(k)
     shift = ExtAffineElt.from_translation(datum, lam)
@@ -650,11 +602,13 @@ def dominant_box(datum: RootDatum, radius: int) -> list[ExtAffineElt]:
     return sorted(out, key=lambda x: (length(x), x.key()))
 
 
-def alcove_element_of_point(datum: RootDatum, point: Point) -> ExtAffineElt:
-    """The affine Weyl group element w with point in w(A0): the product of
-    the generators that fold the point into the base alcove."""
+def alcove_element_of_point(
+    datum: RootDatum, point: WeightVec, scale: int
+) -> ExtAffineElt:
+    """The affine Weyl group element w with point / scale in w(A0): the
+    product of the generators that fold that point into the base alcove."""
     gens = coxeter_generators(datum)
     out = ExtAffineElt.identity(datum)
-    for idx in _fold(datum, point):
+    for idx in _fold(datum, point, scale):
         out = out * gens[idx][1]
     return out

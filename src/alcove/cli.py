@@ -75,8 +75,11 @@ def _tame_param(args, datum: RootDatum) -> TameParam:
 
 def _emit(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write --out: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -117,10 +117,7 @@ def _wset_with_presentations(
 
     for rep, by_fin in _wset_table(datum):
         for x in by_fin.get(tau.elt.fin, ()):
-            y = tau.elt * x.inverse()
-            if not y.fin.is_identity():
-                continue
-            omega = y.trans
+            omega = (tau.elt * x.inverse()).trans
             if not in_lowest_alcove(datum, omega - eta):
                 continue
             pres = SerrePresentation(rep, omega)
@@ -177,11 +174,7 @@ def _wobv_with_presentations(
     out: dict[SerreWeight, SerrePresentation] = {}
 
     for rep in restricted_reps(datum):
-        z = tau.elt * rep.inverse()
-        x = z * ExtAffineElt.from_finite(datum, z.fin.inverse())
-        if not x.fin.is_identity():
-            raise AssertionError("translation extraction failed")
-        omega = x.trans
+        omega = (tau.elt * rep.inverse()).trans
         if not in_lowest_alcove(datum, omega - eta):
             continue
         pres = SerrePresentation(rep, omega)

@@ -36,7 +36,9 @@ from .presentation_scan import (
 from .root_data import (
     BudgetError,
     InconclusiveRegionError,
+    Root,
     RootDatum,
+    ValidationError,
     WeightVec,
     all_weyl_elements,
     frobenius_pi,
@@ -66,6 +68,23 @@ def hyperplane_count_length(w: ExtAffineElt) -> int:
     for beta in datum.positive_roots():
         total += abs(min(pairing(img, beta) for img in images))
     return total
+
+
+def separating_hyperplanes(w: ExtAffineElt) -> set[tuple[Root, int]]:
+    """Set of affine hyperplanes separating the open base alcove from w(A0),
+    computed from exact vertex evaluations."""
+    datum = w.datum
+    out: set[tuple[Root, int]] = set()
+    images = [w.act_weight(v) for v in datum.base_vertices()]
+    for beta in datum.positive_roots():
+        vals = [pairing(img, beta) for img in images]
+        lo, hi = min(vals), max(vals)
+        # image strip is (lo, hi) = (c, c+1); base strip is (0, 1)
+        if lo >= 1:
+            out.update((beta, k) for k in range(1, lo + 1))
+        elif hi <= 0:
+            out.update((beta, k) for k in range(hi, 1))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +276,11 @@ class SweepConfig:
     seed: int = 2024
     mutations: frozenset = frozenset()
     sweeps: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        # a sweep that samples nothing would pass while checking nothing
+        if min(self.tau_samples, self.pair_samples) < 1 or self.box_radius < 0:
+            raise ValidationError("sample counts must be >= 1 and box_radius >= 0")
 
 
 @dataclass

@@ -121,10 +121,6 @@ class RootDatum:
         pos = self.positive_roots()
         return pos + [Root(r.j, r.k, r.i) for r in pos]
 
-    def highest_roots(self) -> list["Root"]:
-        """The highest root e_0 - e_{n-1} of each factor."""
-        return [Root(j, 0, self.n - 1) for j in range(self.f)]
-
     def omega_alpha(self, alpha: "Root") -> "WeightVec":
         """Fundamental weight dual to the simple root alpha, fixed as
         (1, ..., 1, 0, ..., 0) in alpha's embedding (unique up to constants).
@@ -232,9 +228,6 @@ class WeightVec:
             for row in self.entries
             for i in range(len(row) - 1)
         )
-
-    def to_point(self) -> Point:
-        return tuple(tuple(Fraction(a) for a in row) for row in self.entries)
 
     def to_json(self) -> list[list[int]]:
         return [list(row) for row in self.entries]

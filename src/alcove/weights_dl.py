@@ -22,7 +22,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .affine_weyl import (
     ExtAffineElt,
@@ -105,12 +104,7 @@ def d_sigma(sigma: SerreWeight) -> int:
     datum = sigma.datum
     if not sigma.is_p_regular():
         raise ValidationError("d_sigma is defined for p-regular weights")
-    eta = datum.eta()
-    point = tuple(
-        tuple(Fraction(a, datum.p) for a in row)
-        for row in (sigma.lam + eta).entries
-    )
-    w = alcove_element_of_point(datum, point)
+    w = alcove_element_of_point(datum, sigma.lam + datum.eta(), datum.p)
     top = wh_element(datum) * w
     return max(h_value(top.act_weight(v)) for v in datum.base_vertices())
 
@@ -491,9 +485,7 @@ def jh_set_by_reflection(R: DLPresentation) -> frozenset[SerreWeight]:
         for u in bruhat_interval(bound):
             if not is_dominant_elt(u):
                 continue
-            y = R.elt * u.inverse()
-            x = y * ExtAffineElt.from_finite(datum, y.fin.inverse())
-            omega = x.trans
+            omega = (R.elt * u.inverse()).trans
             if not in_lowest_alcove(datum, omega - eta):
                 continue
             out.add(SerrePresentation(rep, omega).weight())

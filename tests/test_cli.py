@@ -6,6 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from alcove.cli import (
     EXIT_OK,
@@ -123,6 +124,34 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert out == ""
         json.loads(target.read_text())
+
+    def test_output_into_missing_directory_refused(self, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(*GRAPH_ARGS, "--out", str(target))
+        assert code == EXIT_REFUSED
+        assert out == ""
+        assert json.loads(err)["kind"] == "refusal"
+        assert "Traceback" not in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "option, value, sweep",
+        [
+            ("--tau-samples", "0", "herzig_dual"),
+            ("--tau-samples", "-1", "herzig_dual"),
+            ("--pair-samples", "0", "wtintersect"),
+            ("--box-radius", "-1", "reduced1"),
+        ],
+    )
+    def test_empty_sample_refused(self, option, value, sweep):
+        # a sweep that samples nothing would pass while checking nothing
+        code, out, err = run_cli(
+            "verify", "--n", "2", "--f", "1", "--p", "7",
+            option, value, "--sweep", sweep,
+        )
+        assert code == EXIT_REFUSED
+        assert out == ""
+        assert json.loads(err)["kind"] == "refusal"
 
 
 class TestEliminateCommand:
