@@ -14,7 +14,6 @@ from .affine_weyl import (
     OmegaDecomp,
     adm_contains,
     adm_eta,
-    adm_set,
     bruhat_interval,
     bruhat_leq,
     diamond,

@@ -401,7 +401,8 @@ def diamond(w: ExtAffineElt) -> ExtAffineElt:
 @functools.cache
 def restricted_reps(datum: RootDatum) -> tuple[ExtAffineElt, ...]:
     """Canonical representatives of the restricted elements modulo X^0, one
-    per finite Weyl element, in a fixed deterministic order."""
+    per finite Weyl element: the diamond of each element of
+    :func:`all_weyl_elements`, in that order."""
     return tuple(
         diamond(ExtAffineElt.from_finite(datum, w))
         for w in all_weyl_elements(datum)
@@ -523,19 +524,13 @@ def up_leq(u: ExtAffineElt, w: ExtAffineElt) -> bool:
 # admissible sets
 
 
-def adm_set(datum: RootDatum, lam: WeightVec) -> frozenset[ExtAffineElt]:
-    """Union of the lower Bruhat intervals of the translations t_{w(lam)},
-    each within the default interval budget."""
-    if not lam.is_dominant():
-        raise ValidationError("admissible sets are defined for dominant weights")
-    return _adm_set(datum, lam)
-
-
 @functools.cache
-def _adm_set(datum: RootDatum, lam: WeightVec) -> frozenset[ExtAffineElt]:
+def adm_eta(datum: RootDatum) -> frozenset[ExtAffineElt]:
+    """Adm(eta): the union of the lower Bruhat intervals of the translations
+    t_{w(eta)}, each within the default interval budget."""
     members: set[ExtAffineElt] = set()
     for w in all_weyl_elements(datum):
-        t = ExtAffineElt.from_translation(datum, w.act(lam))
+        t = ExtAffineElt.from_translation(datum, w.act(datum.eta()))
         members.update(bruhat_interval(t))
     return frozenset(members)
 
@@ -549,10 +544,6 @@ def adm_contains(datum: RootDatum, lam: WeightVec, w: ExtAffineElt) -> bool:
         bruhat_leq(w, ExtAffineElt.from_translation(datum, v.act(lam)))
         for v in all_weyl_elements(datum)
     )
-
-
-def adm_eta(datum: RootDatum) -> frozenset[ExtAffineElt]:
-    return adm_set(datum, datum.eta())
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ admissible-set membership makes only one degree vector possible.
 from __future__ import annotations
 
 import functools
+from collections import deque
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -247,7 +248,7 @@ def _pinned_presentations(
     degrees = tuple(
         t - e for t, e in zip(top.omega_degrees(), R.datum.eta().degrees())
     )
-    return c0_presentations(R, min_depth=0, degrees=degrees)
+    return c0_presentations(R, degrees=degrees)
 
 
 def _outside_adm(tau: TameParam, presentations: list[DLPresentation]) -> bool:
@@ -438,24 +439,31 @@ class ConnectivityGraph:
             adj[e.sigma2].add(e.sigma)
         return adj
 
+    @staticmethod
+    def _bfs(
+        adj: dict[SerreWeight, set[SerreWeight]], sources: list[SerreWeight]
+    ):
+        """Breadth-first search from the sources: yields (vertex, parent,
+        distance) in the order found, neighbours in sort_key order."""
+        queue = deque((v, None, 0) for v in sources)
+        seen = set(sources)
+        while queue:
+            v, parent, dist = queue.popleft()
+            yield v, parent, dist
+            for y in sorted(adj[v], key=SerreWeight.sort_key):
+                if y not in seen:
+                    seen.add(y)
+                    queue.append((y, v, dist + 1))
+
     def components(self) -> list[list[SerreWeight]]:
         adj = self._adjacency()
+        comps: list[list[SerreWeight]] = []
         seen: set[SerreWeight] = set()
-        comps = []
         for v in self.vertices:
-            if v in seen:
-                continue
-            comp = []
-            stack = [v]
-            seen.add(v)
-            while stack:
-                x = stack.pop()
-                comp.append(x)
-                for y in adj[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        stack.append(y)
-            comps.append(sorted(comp, key=lambda s: s.sort_key()))
+            if v not in seen:
+                comp = [x for x, _, _ in self._bfs(adj, [v])]
+                seen.update(comp)
+                comps.append(sorted(comp, key=SerreWeight.sort_key))
         return comps
 
     def is_connected(self) -> bool:
@@ -463,47 +471,25 @@ class ConnectivityGraph:
 
     def distance_to_extremal(self) -> dict[SerreWeight, int | None]:
         """Breadth-first distance from each vertex to the extremal set."""
-        adj = self._adjacency()
-        dist: dict[SerreWeight, int | None] = {v: None for v in self.vertices}
-        frontier = [v for v in self.vertices if v in self.extremal]
-        for v in frontier:
-            dist[v] = 0
-        level = 0
-        while frontier:
-            level += 1
-            nxt = []
-            for v in frontier:
-                for y in adj[v]:
-                    if dist[y] is None:
-                        dist[y] = level
-                        nxt.append(y)
-            frontier = nxt
+        dist: dict[SerreWeight, int | None] = dict.fromkeys(self.vertices)
+        sources = [v for v in self.vertices if v in self.extremal]
+        for v, _, d in self._bfs(self._adjacency(), sources):
+            dist[v] = d
         return dist
 
     def chain_to_extremal(self, sigma: SerreWeight) -> list[SerreWeight] | None:
         """A shortest chain of connected weights from sigma to an extremal
         weight, inclusive on both ends."""
-        if sigma in self.extremal:
+        if sigma in self.extremal:  # without building the adjacency
             return [sigma]
-        adj = self._adjacency()
-        prev: dict[SerreWeight, SerreWeight] = {}
-        seen = {sigma}
-        frontier = [sigma]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for y in sorted(adj[v], key=lambda s: s.sort_key()):
-                    if y in seen:
-                        continue
-                    seen.add(y)
-                    prev[y] = v
-                    if y in self.extremal:
-                        chain = [y]
-                        while chain[-1] != sigma:
-                            chain.append(prev[chain[-1]])
-                        return list(reversed(chain))
-                    nxt.append(y)
-            frontier = nxt
+        parents: dict[SerreWeight, SerreWeight | None] = {}
+        for v, parent, _ in self._bfs(self._adjacency(), [sigma]):
+            parents[v] = parent
+            if v in self.extremal:
+                chain = [v]
+                while parents[chain[-1]] is not None:
+                    chain.append(parents[chain[-1]])
+                return chain[::-1]
         return None
 
     def to_json(self) -> dict:
@@ -614,7 +600,7 @@ def admissible_pair(rho: TameParam, tau: TameParam) -> bool:
     # quantify over presentations: re-present rho over a window meeting every
     # X^0 class, then pin tau's degrees; membership is invariant under
     # simultaneous X^0 shifts.
-    rho_reps = c0_presentations(rho.as_dl(), min_depth=0)
+    rho_reps = c0_presentations(rho.as_dl())
     rho_keys = {q.sort_key() for q in rho_reps}
     if rho.as_dl().sort_key() not in rho_keys:
         rho_reps.append(rho.as_dl())

@@ -550,7 +550,7 @@ def _sweep_zero_gen(datum: RootDatum, config: SweepConfig, res: SweepResult) -> 
         R_mu = wd.DLPresentation(tau.elt)
         # the root-lattice congruence classes over the lowest alcove are
         # exactly the degree-pinned grid
-        grid = eta_c0_weights(datum, 0, mu.degrees())
+        grid = eta_c0_weights(datum, mu.degrees())
         if len(grid) > 12:
             grid = rng.sample(grid, 12)
         candidates: list[WeightVec] = [mu] + [lam for lam in grid if lam != mu]

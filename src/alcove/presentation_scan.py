@@ -31,11 +31,9 @@ SCAN_BUDGET = 400_000
 
 
 @functools.cache
-def _difference_patterns(
-    datum: RootDatum, min_depth: int
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Per-embedding difference vectors of weights omega with omega - eta
-    min_depth-deep in C0: each difference > min_depth, total < p - min_depth."""
+def _difference_patterns(datum: RootDatum) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Per-embedding difference vectors of weights omega with omega - eta in
+    C0: each difference positive, total < p."""
     p, n = datum.p, datum.n
 
     def rows() -> list[tuple[int, ...]]:
@@ -45,8 +43,8 @@ def _difference_patterns(
             if len(prefix) == n - 1:
                 out.append(tuple(prefix))
                 return
-            d = min_depth + 1
-            while total + d <= p - min_depth - 1:
+            d = 1
+            while total + d < p:
                 prefix.append(d)
                 rec(prefix, total + d)
                 prefix.pop()
@@ -75,13 +73,11 @@ def _pattern_weighted_sum(datum: RootDatum, row: tuple[int, ...]) -> int:
     return sum((t + 1) * d for t, d in enumerate(row))
 
 
-def eta_c0_weights(
-    datum: RootDatum, min_depth: int, degrees: tuple[int, ...]
-) -> list[WeightVec]:
-    """Weights omega with omega - eta min_depth-deep in C0 and the exact
-    per-embedding degree vector."""
+def eta_c0_weights(datum: RootDatum, degrees: tuple[int, ...]) -> list[WeightVec]:
+    """Weights omega with omega - eta in C0 and the exact per-embedding degree
+    vector."""
     out = []
-    for pattern in _difference_patterns(datum, min_depth):
+    for pattern in _difference_patterns(datum):
         bases = []
         for j in range(datum.f):
             num = degrees[j] - _pattern_weighted_sum(datum, pattern[j])
@@ -99,23 +95,22 @@ def _scan_half_window(datum: RootDatum) -> int:
 
 
 def c0_presentations_by_scan(
-    R: wd.DLPresentation,
-    min_depth: int = 0,
-    degrees: tuple[int, ...] | None = None,
+    R: wd.DLPresentation, degrees: tuple[int, ...] | None = None
 ) -> list[wd.DLPresentation]:
-    """Reference for :func:`alcove.weights_dl.c0_presentations`: scan every
-    lowest-alcove weight mu' by its difference pattern and keep those that
-    solve the orbit relation.  With ``degrees`` the scan is complete.
+    """Reference for :func:`alcove.weights_dl.c0_presentations`, with the
+    same parameters: scan every lowest-alcove weight mu' by its difference
+    pattern and keep those that solve the orbit relation.  With ``degrees``
+    the scan is complete.
     Without it, the per-embedding base of mu' ranges over a window of about
     p^f values around the degree of each twisted conjugate, which meets every
     X^0 class of presentations; the cost grows with p."""
     datum = R.datum
-    p, n, f = datum.p, datum.n, datum.f
+    n, f = datum.n, datum.f
     found: dict[tuple, wd.DLPresentation] = {}
     half = _scan_half_window(datum)
     for w, b in wd._twisted_conjugates(R):
         bdeg = b.degrees()
-        for pattern in _difference_patterns(datum, min_depth):
+        for pattern in _difference_patterns(datum):
             sums = [_pattern_weighted_sum(datum, pattern[j]) for j in range(f)]
             if degrees is not None:
                 base_choices = [[ (degrees[j] - sums[j]) // n ]
@@ -140,7 +135,7 @@ def scan_size(datum: RootDatum) -> int:
     """Candidates the unpinned scan tests for one representation."""
     window = 2 * _scan_half_window(datum) + 1
     return (
-        len(_difference_patterns(datum, 0))
+        len(_difference_patterns(datum))
         * window**datum.f
         * math.factorial(datum.n) ** datum.f
     )

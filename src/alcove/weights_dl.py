@@ -28,7 +28,6 @@ from .affine_weyl import (
     adm_eta,
     alcove_element_of_point,
     bruhat_interval,
-    diamond,
     is_dominant_elt,
     is_restricted_elt,
     p_dot,
@@ -135,10 +134,6 @@ class SerrePresentation:
     def weight(self) -> SerreWeight:
         datum = self.datum
         lam = p_dot(pi_elt_inv(self.w1), self.omega - datum.eta())
-        if not is_p_restricted(datum, lam):
-            raise InvalidPresentationError(
-                "presentation does not yield a p-restricted weight"
-            )
         return SerreWeight.from_weight(datum, lam)
 
     def to_json(self) -> dict:
@@ -289,31 +284,31 @@ def dl_equal(r1: DLPresentation, r2: DLPresentation) -> bool:
     return False
 
 
-def _forced_row(p: int, min_depth: int, c: list[int]) -> tuple[int, ...] | None:
-    """The integer row x, normalized to last entry 0, with c + p x
-    min_depth-deep over the lowest alcove, or None if there is none.
+def _forced_row(p: int, c: list[int]) -> tuple[int, ...] | None:
+    """The integer row x, normalized to last entry 0, with c + p x over the
+    lowest alcove, or None if there is none.
 
-    Every gap of c + p x must exceed min_depth while the gaps sum to less
-    than p - min_depth, so raising one difference of x by 1 would alone break
-    the bound: each difference is forced to its least admissible value.
+    Every gap of c + p x must be positive while the gaps sum to less than p,
+    so raising one difference of x by 1 would alone break the bound: each
+    difference is forced to its least admissible value.
     """
     n = len(c)
     row = [0] * n
     spread = 0
     for i in range(n - 2, -1, -1):
         gap = c[i] - c[i + 1]
-        d = (min_depth - gap) // p + 1
+        d = -gap // p + 1
         row[i] = row[i + 1] + d
         spread += gap + p * d
-    return tuple(row) if spread < p - min_depth else None
+    return tuple(row) if spread < p else None
 
 
 def _c0_translations(
-    datum: RootDatum, w: FiniteWeylElt, b: WeightVec, min_depth: int
+    datum: RootDatum, w: FiniteWeylElt, b: WeightVec
 ) -> list[tuple[tuple[int, ...], ...]]:
-    """The rows of every weight b + p nu - w(pi(nu)) that is min_depth-deep
-    over the lowest alcove, one per class of nu modulo X^0 (nu normalized to
-    last entry 0 in each embedding).
+    """The rows of every weight b + p nu - w(pi(nu)) over the lowest alcove,
+    one per class of nu modulo X^0 (nu normalized to last entry 0 in each
+    embedding).
 
     Embedding j of that weight is b_j + p nu_j - w_j(nu_{j-1}), so nu_j is
     forced by nu_{j-1} (:func:`_forced_row`).  Taking spreads,
@@ -328,8 +323,8 @@ def _c0_translations(
     ranges = []
     for i in range(n - 1):
         gap = last[i] - last[i + 1]
-        lo = (min_depth - gap - bound) // p + 1
-        hi = (min_depth - gap + bound) // p + 1
+        lo = (-gap - bound) // p + 1
+        hi = (-gap + bound) // p + 1
         ranges.append(range(lo, hi + 1))
     out = []
     for diffs in itertools.product(*ranges):
@@ -340,7 +335,7 @@ def _c0_translations(
         rows = []
         for j in range(f):
             c = [b.entries[j][i] - prev[winv[j][i]] for i in range(n)]
-            prev = _forced_row(p, min_depth, c)
+            prev = _forced_row(p, c)
             if prev is None:
                 break
             rows.append(tuple(ci + p * x for ci, x in zip(c, prev)))
@@ -350,12 +345,10 @@ def _c0_translations(
 
 
 def c0_presentations(
-    R: DLPresentation,
-    min_depth: int = 0,
-    degrees: tuple[int, ...] | None = None,
+    R: DLPresentation, degrees: tuple[int, ...] | None = None
 ) -> list[DLPresentation]:
-    """Lowest-alcove presentations (s', mu') of R with mu' - eta
-    min_depth-deep in C0, sorted.
+    """Lowest-alcove presentations (s', mu') of R, with mu' - eta in C0,
+    sorted.
 
     With ``degrees`` the per-embedding degree of mu' is pinned exactly and the
     list is complete.  Without it the presentations come in X^0 classes
@@ -365,20 +358,18 @@ def c0_presentations(
     invariant under that shift, which is all that unpinned callers need.
     The cost does not grow with p.
     """
-    if min_depth < 0:
-        raise ValidationError("min_depth must be >= 0")
-    return list(_c0_presentations(R, min_depth, degrees))
+    return list(_c0_presentations(R, degrees))
 
 
 @functools.cache
 def _c0_presentations(
-    R: DLPresentation, min_depth: int, degrees: tuple[int, ...] | None
+    R: DLPresentation, degrees: tuple[int, ...] | None
 ) -> tuple[DLPresentation, ...]:
     datum = R.datum
     n = datum.n
     found: dict[tuple, DLPresentation] = {}
     for w, b in _twisted_conjugates(R):
-        for rows in _c0_translations(datum, w, b, min_depth):
+        for rows in _c0_translations(datum, w, b):
             if degrees is None:
                 mu2 = _canonical_omega(datum, WeightVec(rows))
             else:
@@ -398,24 +389,20 @@ def _c0_presentations(
 
 def is_m_generic(R: DLPresentation, m: int) -> bool:
     """Whether some presentation of R has translation part m-deep over the
-    lowest alcove.  The given presentation is checked first."""
-    given = R.lowest_alcove_depth()
-    if given is not None and given >= m:
-        return True
-    return bool(c0_presentations(R, min_depth=m))
+    lowest alcove, that is whether :func:`max_genericity` is at least m."""
+    if m < 0:
+        raise ValidationError("genericity m must be >= 0")
+    top = max_genericity(R)
+    return top is not None and top >= m
 
 
 def max_genericity(R: DLPresentation) -> int | None:
     """Largest m such that R is m-generic, or None if R has no lowest-alcove
-    presentation at all."""
-    depths = [
-        pres.lowest_alcove_depth() for pres in c0_presentations(R, min_depth=0)
-    ]
-    given = R.lowest_alcove_depth()
-    if given is not None:
-        depths.append(given)
-    depths = [d for d in depths if d is not None]
-    return max(depths) if depths else None
+    presentation at all.  Presentations in one X^0 class share their depth,
+    so the deepest of the one-per-class list is the deepest of all."""
+    return max(
+        (pres.lowest_alcove_depth() for pres in c0_presentations(R)), default=None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +486,7 @@ def jh_outer(R: DLPresentation) -> list[tuple[FiniteWeylElt, SerreWeight]]:
     _require_depth(R, datum.h_eta, "jh_outer")
     wh = wh_element(datum)
     out = []
-    for w in all_weyl_elements(datum):
-        wd = diamond(ExtAffineElt.from_finite(datum, w))
+    for w, wd in zip(all_weyl_elements(datum), restricted_reps(datum)):
         at_zero = (wh * wd).inverse().trans
         omega = R.elt.act_weight(at_zero)
         out.append((w, SerrePresentation(wd, omega).weight()))

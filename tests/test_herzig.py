@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -357,6 +358,28 @@ class TestGraph:
             assert chain is not None
             assert chain[0] == sigma
             assert chain[-1] in graph.extremal
+
+    def test_disconnected_graph(self, tau3):
+        graph = connectivity_graph(tau3)
+        v = next(u for u in graph.vertices if u not in graph.extremal)
+        cut = dataclasses.replace(
+            graph,
+            edges=tuple(e for e in graph.edges if v not in (e.sigma, e.sigma2)),
+        )
+        assert not cut.is_connected()
+        assert [v] in cut.components()
+        for comp in cut.components():
+            assert comp == sorted(comp, key=lambda s: s.sort_key())
+        dist = cut.distance_to_extremal()
+        assert dist[v] is None
+        assert cut.chain_to_extremal(v) is None
+        top = next(iter(cut.extremal))
+        assert cut.chain_to_extremal(top) == [top]
+        for sigma, d in dist.items():
+            if d is not None:
+                chain = cut.chain_to_extremal(sigma)
+                assert chain[0] == sigma and chain[-1] in cut.extremal
+                assert len(chain) - 1 == d
 
     def test_shallow_graph_refused(self, d2):
         with pytest.raises(DepthError):

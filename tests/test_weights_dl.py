@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import itertools
 import random
 
@@ -14,6 +15,7 @@ from alcove.affine_weyl import (
 )
 from alcove.herzig import TameParam, wobv_with_presentations, wset_with_presentations
 from alcove.oracle import _deep_tau_samples, eta_c0_weights
+from alcove.presentation_scan import c0_presentations_by_scan
 from alcove.root_data import (
     DepthError,
     FiniteWeylElt,
@@ -137,7 +139,7 @@ class TestSerrePresentation:
         delta = omega_generator(d2, 0)
         checked = 0
         for rep in restricted_reps(d2):
-            for omega in eta_c0_weights(d2, 0, rep.omega_degrees())[:3]:
+            for omega in eta_c0_weights(d2, rep.omega_degrees())[:3]:
                 pres = SerrePresentation(rep, omega)
                 other_elt = pres.w1 * delta.inverse()
                 shifted = p_dot(pi_elt_inv(delta), omega - d2.eta()) + d2.eta()
@@ -254,7 +256,7 @@ class TestGenericity:
         assert deep_r3.lowest_alcove_depth() == 9
 
     def test_c0_presentations_stay_equal(self, deep_r2):
-        reps = c0_presentations(deep_r2, min_depth=0)
+        reps = c0_presentations(deep_r2)
         assert reps
         assert all(dl_equal(deep_r2, q) for q in reps)
 
@@ -287,6 +289,39 @@ class TestGenericity:
         assert dl_equal(base, twisted)
         assert max_genericity(twisted) == 2
 
+    @pytest.mark.parametrize("nfp", [(2, 1, 7), (3, 1, 7), (2, 1, 13), (2, 2, 5)])
+    def test_is_m_generic_matches_scan(self, nfp):
+        # m-generic means some presentation, given or scanned, is m-deep
+        datum = RootDatum(*nfp)
+        n, f, p = nfp
+        rng = random.Random(12)
+        weyl = all_weyl_elements(datum)
+        for _ in range(12):
+            mu = WeightVec(
+                tuple(tuple(rng.randint(-p, p) for _ in range(n)) for _ in range(f))
+            )
+            R = DLPresentation(ExtAffineElt(datum, mu, rng.choice(weyl)))
+            candidates = [R] + c0_presentations_by_scan(R)
+            for m in range(p // 2 + 1):
+                want = any(
+                    in_lowest_alcove(datum, q.mu - datum.eta(), depth=m)
+                    for q in candidates
+                )
+                assert is_m_generic(R, m) == want, (mu.entries, m)
+
+    def test_negative_m_refused(self, deep_r2):
+        with pytest.raises(ValidationError):
+            is_m_generic(deep_r2, -1)
+
+    def test_scan_takes_the_solver_parameters(self):
+        def params(fn):
+            return [
+                (q.name, q.kind, q.default)
+                for q in inspect.signature(fn).parameters.values()
+            ]
+
+        assert params(c0_presentations_by_scan) == params(c0_presentations)
+
 
 class TestMemo:
     def test_cold_and_warm_results_agree(self, deep_r2, deep_r3, d22, clear_caches):
@@ -298,8 +333,7 @@ class TestMemo:
                 tau = TameParam(R.elt)
                 out[R] = (
                     c0_presentations(R),
-                    c0_presentations(R, 1),
-                    c0_presentations(R, 0, R.mu.degrees()),
+                    c0_presentations(R, R.mu.degrees()),
                     jh_set(R),
                     wset_with_presentations(tau),
                     wobv_with_presentations(tau),
@@ -321,12 +355,11 @@ class TestMemo:
         memo.cache_clear()
         results = [
             c0_presentations(deep_r2),
-            c0_presentations(deep_r2, 0),
-            c0_presentations(deep_r2, min_depth=0),
+            c0_presentations(deep_r2, None),
             c0_presentations(deep_r2, degrees=None),
         ]
         info = memo.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
         assert all(r == results[0] for r in results)
 
 
