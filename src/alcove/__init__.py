@@ -59,7 +59,6 @@ from .root_data import (
     BudgetError,
     DepthError,
     FiniteWeylElt,
-    InconclusiveRegionError,
     Root,
     RootDatum,
     ValidationError,

@@ -41,7 +41,6 @@ from .root_data import (
     ValidationError,
     WeightVec,
     all_weyl_elements,
-    depth_of,
     in_lowest_alcove,
     is_p_restricted,
 )
@@ -68,23 +67,14 @@ class NotEliminableError(AlcoveError):
 
 
 @dataclass(frozen=True, slots=True)
-class TameParam:
-    """Tame inertial parameter presented by the element t_mu . s."""
-
-    elt: ExtAffineElt
-
-    @property
-    def datum(self) -> RootDatum:
-        return self.elt.datum
-
-    def lowest_alcove_depth(self) -> int | None:
-        return self.as_dl().lowest_alcove_depth()
+class TameParam(DLPresentation):
+    """Tame inertial parameter presented by the element t_mu . s.  It is
+    never equal to the DL presentation of the same element (dataclass
+    equality compares classes), so memos keyed by DL presentations take
+    :meth:`as_dl`."""
 
     def as_dl(self) -> DLPresentation:
         return DLPresentation(self.elt)
-
-    def to_json(self) -> dict:
-        return self.elt.to_json()
 
 
 def herzig_twist(sigma: SerreWeight) -> SerreWeight:
@@ -113,13 +103,12 @@ def _wset_with_presentations(
     tau: TameParam,
 ) -> MappingProxyType[SerreWeight, SerrePresentation]:
     datum = tau.datum
-    eta = datum.eta()
     out: dict[SerreWeight, SerrePresentation] = {}
 
     for rep, by_fin in _wset_table(datum):
         for x in by_fin.get(tau.elt.fin, ()):
             omega = (tau.elt * x.inverse()).trans
-            if not in_lowest_alcove(datum, omega - eta):
+            if not in_lowest_alcove(datum, omega):
                 continue
             pres = SerrePresentation(rep, omega)
             out.setdefault(pres.weight(), pres)
@@ -171,12 +160,11 @@ def _wobv_with_presentations(
     tau: TameParam,
 ) -> MappingProxyType[SerreWeight, SerrePresentation]:
     datum = tau.datum
-    eta = datum.eta()
     out: dict[SerreWeight, SerrePresentation] = {}
 
     for rep in restricted_reps(datum):
         omega = (tau.elt * rep.inverse()).trans
-        if not in_lowest_alcove(datum, omega - eta):
+        if not in_lowest_alcove(datum, omega):
             continue
         pres = SerrePresentation(rep, omega)
         out.setdefault(pres.weight(), pres)
@@ -210,16 +198,13 @@ class EliminationCertificate:
     checked: tuple[DLPresentation, ...]
 
     def verify(self) -> bool:
-        datum = self.R.datum
         # outer membership by construction: sigma = F_{(w1, omega)} and
         # R is the outer family member indexed by outer_w
         if self.presentation.weight() != self.sigma:
             return False
         if self.R != _outer_member(self.presentation, self.outer_w):
             return False
-        if depth_of(datum, self.presentation.omega - datum.eta()) < d_sigma(
-            self.sigma
-        ):
+        if self.presentation.depth < d_sigma(self.sigma):
             return False
         # re-enumerate the admissible-degree re-presentations and re-test
         fresh = _pinned_presentations(self.R, self.tau.elt)
@@ -396,7 +381,7 @@ def enumerate_edges(tau: TameParam) -> list[ConnectionEdge]:
     edges = []
     for alpha, w2, w1, factor_inv, lifts in _edge_factors(datum):
         w = tau.elt * factor_inv
-        if not in_lowest_alcove(datum, w.trans - datum.eta(), depth=datum.h_eta):
+        if not in_lowest_alcove(datum, w.trans, depth=datum.h_eta):
             continue
         R = DLPresentation(w)
         a, b = (_outer_weight(R, lift) for lift in lifts)
@@ -432,17 +417,16 @@ class ConnectivityGraph:
     edges: tuple[ConnectionEdge, ...]
     extremal: frozenset[SerreWeight]
 
-    def _adjacency(self) -> dict[SerreWeight, set[SerreWeight]]:
+    @functools.cached_property
+    def _adjacency(self) -> dict[SerreWeight, list[SerreWeight]]:
+        """Each vertex's neighbours, in sort_key order."""
         adj: dict[SerreWeight, set[SerreWeight]] = {v: set() for v in self.vertices}
         for e in self.edges:
             adj[e.sigma].add(e.sigma2)
             adj[e.sigma2].add(e.sigma)
-        return adj
+        return {v: sorted(ys, key=SerreWeight.sort_key) for v, ys in adj.items()}
 
-    @staticmethod
-    def _bfs(
-        adj: dict[SerreWeight, set[SerreWeight]], sources: list[SerreWeight]
-    ):
+    def _bfs(self, sources: list[SerreWeight]):
         """Breadth-first search from the sources: yields (vertex, parent,
         distance) in the order found, neighbours in sort_key order."""
         queue = deque((v, None, 0) for v in sources)
@@ -450,18 +434,17 @@ class ConnectivityGraph:
         while queue:
             v, parent, dist = queue.popleft()
             yield v, parent, dist
-            for y in sorted(adj[v], key=SerreWeight.sort_key):
+            for y in self._adjacency[v]:
                 if y not in seen:
                     seen.add(y)
                     queue.append((y, v, dist + 1))
 
     def components(self) -> list[list[SerreWeight]]:
-        adj = self._adjacency()
         comps: list[list[SerreWeight]] = []
         seen: set[SerreWeight] = set()
         for v in self.vertices:
             if v not in seen:
-                comp = [x for x, _, _ in self._bfs(adj, [v])]
+                comp = [x for x, _, _ in self._bfs([v])]
                 seen.update(comp)
                 comps.append(sorted(comp, key=SerreWeight.sort_key))
         return comps
@@ -473,17 +456,15 @@ class ConnectivityGraph:
         """Breadth-first distance from each vertex to the extremal set."""
         dist: dict[SerreWeight, int | None] = dict.fromkeys(self.vertices)
         sources = [v for v in self.vertices if v in self.extremal]
-        for v, _, d in self._bfs(self._adjacency(), sources):
+        for v, _, d in self._bfs(sources):
             dist[v] = d
         return dist
 
     def chain_to_extremal(self, sigma: SerreWeight) -> list[SerreWeight] | None:
         """A shortest chain of connected weights from sigma to an extremal
         weight, inclusive on both ends."""
-        if sigma in self.extremal:  # without building the adjacency
-            return [sigma]
         parents: dict[SerreWeight, SerreWeight | None] = {}
-        for v, parent, _ in self._bfs(self._adjacency(), [sigma]):
+        for v, parent, _ in self._bfs([sigma]):
             parents[v] = parent
             if v in self.extremal:
                 chain = [v]
@@ -597,14 +578,10 @@ def admissible_pair(rho: TameParam, tau: TameParam) -> bool:
     _require_depth(rho, datum.n - 1, "admissible_pair (rho)")
     _require_depth(tau, datum.n, "admissible_pair (tau)")
     admissible = adm_eta(datum)
-    # quantify over presentations: re-present rho over a window meeting every
-    # X^0 class, then pin tau's degrees; membership is invariant under
-    # simultaneous X^0 shifts.
-    rho_reps = c0_presentations(rho.as_dl())
-    rho_keys = {q.sort_key() for q in rho_reps}
-    if rho.as_dl().sort_key() not in rho_keys:
-        rho_reps.append(rho.as_dl())
-    for rp in rho_reps:
+    # quantify over presentations: one of rho per X^0 class, then pin tau's
+    # degrees.  Moving rho by an X^0 twist z moves the pinned presentations of
+    # tau by z too, and t_z x t_{-z} = x, so rho's own need not be listed.
+    for rp in c0_presentations(rho.as_dl()):
         for tp in _pinned_presentations(tau.as_dl(), rp.elt):
             if rp.elt * tp.elt.inverse() in admissible:
                 return True

@@ -35,7 +35,6 @@ from .presentation_scan import (
 )
 from .root_data import (
     BudgetError,
-    InconclusiveRegionError,
     Root,
     RootDatum,
     ValidationError,
@@ -180,13 +179,10 @@ def _point_prefixes(point) -> list[tuple[Fraction, ...]]:
     return out
 
 
-def brute_up(
-    u: ExtAffineElt, w: ExtAffineElt, box: int | None = None
-) -> bool:
+def brute_up(u: ExtAffineElt, w: ExtAffineElt) -> bool:
     """Raising order by forward breadth-first closure of single upward wall
     reflections on exact sample points.  Chains are confined to the dominance
-    interval between the two alcoves, so exhaustion is definitive; an explicit
-    ``box`` (bound on coordinates) smaller than that interval is refused."""
+    interval between the two alcoves, so exhaustion is definitive."""
     if u.omega_degrees() != w.omega_degrees():
         return False
     datum = u.datum
@@ -200,21 +196,6 @@ def brute_up(
             return False
         if any(a > b for a, b in zip(lo_pref[j], hi_pref[j])):
             return False
-    if box is not None:
-        bound = Fraction(box)
-        reachable = [
-            abs(v)
-            for j in range(datum.f)
-            for t in range(datum.n)
-            for v in (
-                lo_pref[j][t] - (hi_pref[j][t - 1] if t else 0),
-                hi_pref[j][t] - (lo_pref[j][t - 1] if t else 0),
-            )
-        ]
-        if max(reachable) > bound:
-            raise InconclusiveRegionError(
-                f"box {box} is smaller than the dominance interval"
-            )
 
     def admissible(point) -> bool:
         pref = _point_prefixes(point)
@@ -564,7 +545,7 @@ def _sweep_zero_gen(datum: RootDatum, config: SweepConfig, res: SweepResult) -> 
             for lam in candidates:
                 if not drop_lattice and not (mu - lam).in_root_lattice():
                     continue
-                if not in_lowest_alcove(datum, lam - datum.eta()):
+                if not in_lowest_alcove(datum, lam):
                     continue
                 res.checked += 1
                 same = wd.dl_equal(R_mu, wd.DLPresentation(ExtAffineElt(datum, lam, w)))
@@ -793,7 +774,6 @@ def _restricted_weight_pool(datum: RootDatum) -> list[wd.SerreWeight]:
     pairings, so every per-embedding difference vector in [0, p-1]^{n-1} is
     admissible, including the upper alcoves."""
     out = []
-    seen = set()
     p, f, n = datum.p, datum.f, datum.n
     rows = list(itertools.product(range(p), repeat=n - 1))
     digit_classes = range(p**f - 1)
@@ -807,13 +787,13 @@ def _restricted_weight_pool(datum: RootDatum) -> list[wd.SerreWeight]:
         base = datum.weight(base_rows)
         if not is_p_restricted(datum, base):
             raise AssertionError("difference grid escaped the restricted region")
+        # base has last entries 0, so the last entries of lam are the digits
+        # of r < p^f - 1: lam is already in digit normal form, and distinct
+        # (pattern, r) name distinct weights
         for r in digit_classes:
             shift = [(r // p**j) % p for j in range(f)]
             lam = base + x0_shift(datum, shift)
             sigma = wd.SerreWeight.from_weight(datum, lam)
-            if sigma in seen:
-                continue
-            seen.add(sigma)
             if sigma.is_p_regular() and sigma.depth >= wd.d_sigma(sigma):
                 out.append(sigma)
     return sorted(out, key=lambda s: s.sort_key())

@@ -42,10 +42,6 @@ class BudgetError(AlcoveError):
     """An enumeration exceeded its configured resource budget."""
 
 
-class InconclusiveRegionError(AlcoveError):
-    """A user-supplied search region was too small to decide the query."""
-
-
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -388,12 +384,12 @@ def alcove_of(datum: RootDatum, lam: WeightVec) -> tuple[int, ...]:
     )
 
 
-def in_lowest_alcove(datum: RootDatum, lam: WeightVec, depth: int = 0) -> bool:
-    """lam in C0 and depth-deep: depth < <lam+eta, a^> < p - depth for all
-    positive roots a."""
-    shifted = lam + datum.eta()
+def in_lowest_alcove(datum: RootDatum, mu: WeightVec, depth: int = 0) -> bool:
+    """Whether the translation part mu of a presentation sits over C0,
+    depth-deep: depth < <mu, a^> < p - depth for all positive roots a, that
+    is mu - eta in C0 and depth-deep."""
     for beta in datum.positive_roots():
-        v = pairing(shifted, beta)
+        v = pairing(mu, beta)
         if not (depth < v < datum.p - depth):
             return False
     return True

@@ -119,8 +119,7 @@ class SerrePresentation:
     def __post_init__(self) -> None:
         if not is_restricted_elt(self.w1):
             raise InvalidPresentationError("presentation element is not restricted")
-        datum = self.w1.datum
-        if not in_lowest_alcove(datum, self.omega - datum.eta()):
+        if not in_lowest_alcove(self.w1.datum, self.omega):
             raise InvalidPresentationError("omega - eta does not lie in C0")
 
     @property
@@ -163,7 +162,7 @@ def presentations_of(sigma: SerreWeight) -> list[SerrePresentation]:
         pinv = pi_elt_inv(rep)
         target = sigma.lam + eta - pinv.trans.scale(datum.p)
         omega = pinv.fin.inverse().act(target)
-        if not in_lowest_alcove(datum, omega - eta):
+        if not in_lowest_alcove(datum, omega):
             continue
         pres = SerrePresentation(rep, _canonical_omega(datum, omega))
         if pres.weight() != sigma:
@@ -198,10 +197,9 @@ class DLPresentation:
         """Depth of mu - eta in C0 for this presentation, or None if the
         translation part does not sit over the lowest alcove."""
         datum = self.datum
-        shifted = self.mu - datum.eta()
-        if not in_lowest_alcove(datum, shifted):
+        if not in_lowest_alcove(datum, self.mu):
             return None
-        return depth_of(datum, shifted)
+        return depth_of(datum, self.mu - datum.eta())
 
     def to_json(self) -> dict:
         return self.elt.to_json()
@@ -409,9 +407,9 @@ def max_genericity(R: DLPresentation) -> int | None:
 # Jordan-Holder sets
 
 
-def _require_depth(x, depth: int, what: str) -> None:
-    """Refuse unless the given presentation of x (a DL presentation or a
-    tame parameter) is depth-deep over the lowest alcove."""
+def _require_depth(x: DLPresentation, depth: int, what: str) -> None:
+    """Refuse unless the given presentation x is depth-deep over the lowest
+    alcove."""
     given = x.lowest_alcove_depth()
     if given is None or given < depth:
         raise DepthError(
@@ -437,7 +435,6 @@ def _jh_set(R: DLPresentation) -> frozenset[SerreWeight]:
     datum = R.datum
     admissible = adm_eta(datum)
     base_inv = R.elt.inverse()
-    eta = datum.eta()
     out = set()
     for rep in restricted_reps(datum):
         top = w0_element(datum) * rep
@@ -449,7 +446,7 @@ def _jh_set(R: DLPresentation) -> frozenset[SerreWeight]:
             if a.fin != fin:
                 continue
             omega = (R.elt * a * top_inv).trans
-            if not in_lowest_alcove(datum, omega - eta):
+            if not in_lowest_alcove(datum, omega):
                 continue
             shift = base_inv * ExtAffineElt.from_translation(datum, omega)
             if all(shift * x in admissible for x in interval):
@@ -463,7 +460,6 @@ def jh_set_by_reflection(R: DLPresentation) -> frozenset[SerreWeight]:
     t_omega in t_mu s u^{-1} W.  Cross-check path for :func:`jh_set`."""
     datum = R.datum
     _require_depth(R, datum.h_eta, "jh_set")
-    eta = datum.eta()
     out = set()
     for rep in restricted_reps(datum):
         bound = wh_element(datum) * rep
@@ -473,7 +469,7 @@ def jh_set_by_reflection(R: DLPresentation) -> frozenset[SerreWeight]:
             if not is_dominant_elt(u):
                 continue
             omega = (R.elt * u.inverse()).trans
-            if not in_lowest_alcove(datum, omega - eta):
+            if not in_lowest_alcove(datum, omega):
                 continue
             out.add(SerrePresentation(rep, omega).weight())
     return frozenset(out)

@@ -47,13 +47,16 @@ from alcove.root_data import (
     FiniteWeylElt,
     RootDatum,
     all_weyl_elements,
+    frobenius_pi,
     in_lowest_alcove,
     is_p_restricted,
+    x0_shift,
 )
 from alcove.weights_dl import (
     DLPresentation,
     SerrePresentation,
     SerreWeight,
+    c0_presentations,
     d_sigma,
     jh_set,
 )
@@ -76,6 +79,20 @@ def tau2(d2):
 @pytest.fixture(scope="module")
 def tau3(d3):
     return tame(d3, [[20, 10, 0]], perm=[[2, 3, 1]])
+
+
+class TestTameParam:
+    def test_is_a_dl_presentation_of_another_class(self, d2, d22):
+        taus = (tame(d2, [[5, 1]]), tame(d22, [[5, 1], [4, 1]], perm=[[2, 1], [1, 2]]))
+        for tau in taus:
+            R = DLPresentation(tau.elt)
+            assert isinstance(tau, DLPresentation)
+            assert tau.lowest_alcove_depth() == R.lowest_alcove_depth()
+            assert tau.to_json() == R.to_json()
+            assert tau.datum == R.datum
+            assert tau != R
+            assert type(tau.as_dl()) is DLPresentation
+            assert tau.as_dl() == R
 
 
 class TestWset:
@@ -158,7 +175,7 @@ def _reference_wset(tau):
             y = tau.elt * x.inverse()
             if not y.fin.is_identity():
                 continue
-            if not in_lowest_alcove(datum, y.trans - datum.eta()):
+            if not in_lowest_alcove(datum, y.trans):
                 continue
             pres = SerrePresentation(rep, y.trans)
             out.setdefault(pres.weight(), pres)
@@ -177,7 +194,7 @@ def _reference_edges(tau):
                 if not is_dominant_elt(w1):
                     continue
                 w = tau.elt * (w2.inverse() * s_alpha * w0 * w1).inverse()
-                if not in_lowest_alcove(datum, w.trans - datum.eta(), depth=datum.h_eta):
+                if not in_lowest_alcove(datum, w.trans, depth=datum.h_eta):
                     continue
                 R = DLPresentation(w)
                 a, b = (
@@ -450,3 +467,31 @@ class TestAdmissiblePair:
             assert equivalence_report(rho, tau).all_agree
             checked += 1
         assert checked >= 3
+
+    @pytest.mark.parametrize("nfp", [(3, 1, 19), (2, 2, 7)])
+    def test_rho_off_digit_normal_form(self, nfp):
+        # an X^0 twist (p - pi)c of rho's translation part names the same
+        # parameter but is not among the one-per-class presentations that
+        # c0_presentations lists for rho
+        datum = RootDatum(*nfp)
+        c = x0_shift(datum, [1] + [0] * (datum.f - 1))
+        z = c.scale(datum.p) - frobenius_pi(c)
+        rng = random.Random(29)
+        verdicts = set()
+        for tau in _deep_tau_samples(datum, 3, datum.n, rng):
+            shifts = [
+                ExtAffineElt.from_translation(datum, w.act(datum.eta()))
+                for w in all_weyl_elements(datum)
+            ]
+            rhos = [TameParam(t * tau.elt) for t in shifts]
+            rhos += _deep_tau_samples(datum, 3, datum.n - 1, rng)
+            for rho in rhos:
+                if (rho.lowest_alcove_depth() or -1) < datum.n - 1:
+                    continue
+                twisted = TameParam(ExtAffineElt(datum, rho.mu + z, rho.s))
+                assert twisted.as_dl() not in c0_presentations(twisted.as_dl())
+                want = bool(jh_set(tau.as_dl()) & wset(rho))
+                assert admissible_pair(rho, tau) == want
+                assert admissible_pair(twisted, tau) == want
+                verdicts.add(want)
+        assert verdicts == {True, False}

@@ -14,6 +14,7 @@ from alcove.affine_weyl import ExtAffineElt, omega_generator
 from alcove.oracle import (
     MUTATIONS,
     SweepConfig,
+    _restricted_weight_pool,
     all_reduced_words,
     brute_bruhat,
     brute_up,
@@ -23,11 +24,11 @@ from alcove.oracle import (
 )
 from alcove.root_data import (
     BudgetError,
-    InconclusiveRegionError,
     RootDatum,
     WeightVec,
     all_weyl_elements,
 )
+from alcove.weights_dl import _canonical_omega
 
 
 class TestHyperplaneLength:
@@ -109,11 +110,15 @@ class TestBruteUp:
         t01 = ExtAffineElt.from_translation(d2, d2.weight([[0, 1]]))
         assert not brute_up(t10, t01)
 
-    def test_small_box_refused(self, d2):
-        low = ExtAffineElt.from_translation(d2, d2.weight([[-4, 4]]))
-        high = ExtAffineElt.from_translation(d2, d2.weight([[4, -4]]))
-        with pytest.raises(InconclusiveRegionError):
-            brute_up(low, high, box=1)
+
+class TestRestrictedWeightPool:
+    @pytest.mark.parametrize("nfp", [(3, 1, 7), (2, 2, 5)])
+    def test_candidates_are_distinct_and_canonical(self, nfp):
+        datum = RootDatum(*nfp)
+        lams = [sigma.lam for sigma in _restricted_weight_pool(datum)]
+        assert lams
+        assert len(set(lams)) == len(lams)
+        assert all(_canonical_omega(datum, lam) == lam for lam in lams)
 
 
 class TestSweeps:

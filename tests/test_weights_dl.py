@@ -217,7 +217,7 @@ class TestDLEquality:
         # distinct lowest-alcove data with root-lattice-congruent translations
         # never name the same representation
         grid = [d2.weight([[a + b, b]]) for a in range(1, 7) for b in range(0, 7)]
-        grid = [m for m in grid if in_lowest_alcove(d2, m - d2.eta())]
+        grid = [m for m in grid if in_lowest_alcove(d2, m)]
         weyl = all_weyl_elements(d2)
         for s, w in itertools.product(weyl, repeat=2):
             for mu, lam in itertools.product(grid, repeat=2):
@@ -289,6 +289,24 @@ class TestGenericity:
         assert dl_equal(base, twisted)
         assert max_genericity(twisted) == 2
 
+    @pytest.mark.parametrize("nfp", [(3, 1, 13), (2, 2, 7)])
+    def test_lowest_alcove_test_takes_the_translation_part(self, nfp):
+        # in_lowest_alcove(mu, m) says that t_mu is m-deep as given
+        datum = RootDatum(*nfp)
+        n, f, p = nfp
+        rows = [
+            row + (last,)
+            for row in itertools.product(range(-1, p + 1), repeat=n - 1)
+            for last in (0, 1)
+        ]
+        for mu in itertools.product(rows, repeat=f):
+            mu = WeightVec(mu)
+            R = DLPresentation(ExtAffineElt.from_translation(datum, mu))
+            depth = R.lowest_alcove_depth()
+            for m in range(4):
+                want = depth is not None and depth >= m
+                assert in_lowest_alcove(datum, mu, m) == want, (mu.entries, m)
+
     @pytest.mark.parametrize("nfp", [(2, 1, 7), (3, 1, 7), (2, 1, 13), (2, 2, 5)])
     def test_is_m_generic_matches_scan(self, nfp):
         # m-generic means some presentation, given or scanned, is m-deep
@@ -304,7 +322,7 @@ class TestGenericity:
             candidates = [R] + c0_presentations_by_scan(R)
             for m in range(p // 2 + 1):
                 want = any(
-                    in_lowest_alcove(datum, q.mu - datum.eta(), depth=m)
+                    in_lowest_alcove(datum, q.mu, depth=m)
                     for q in candidates
                 )
                 assert is_m_generic(R, m) == want, (mu.entries, m)
