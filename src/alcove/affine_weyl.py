@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .root_data import (
     BudgetError,
     FiniteWeylElt,
-    Point,
     Root,
     RootDatum,
     ValidationError,
@@ -76,13 +75,6 @@ class ExtAffineElt:
 
     def act_weight(self, lam: WeightVec) -> WeightVec:
         return self.trans + self.fin.act(lam)
-
-    def act_point(self, point: Point) -> Point:
-        moved = self.fin.act_point(point)
-        return tuple(
-            tuple(a + b for a, b in zip(trow, mrow))
-            for trow, mrow in zip(self.trans.entries, moved)
-        )
 
     def omega_degrees(self) -> tuple[int, ...]:
         """Per-embedding class in W~/W_a; a group homomorphism to Z^f."""
@@ -322,6 +314,18 @@ def _fold(datum: RootDatum, point: WeightVec, scale: int) -> list[int]:
         point = _act_scaled(gens[idx][1], point, scale)
 
 
+def alcove_element_of_point(
+    datum: RootDatum, point: WeightVec, scale: int
+) -> ExtAffineElt:
+    """The affine Weyl group element w with point / scale in w(A0): the
+    product of the generators that fold that point into the base alcove."""
+    gens = coxeter_generators(datum)
+    out = ExtAffineElt.identity(datum)
+    for idx in _fold(datum, point, scale):
+        out = out * gens[idx][1]
+    return out
+
+
 def minimal_gallery(w: ExtAffineElt) -> Gallery:
     """Crossed hyperplanes of the canonical reduced word, in crossing order."""
     dec = omega_decompose(w)
@@ -445,14 +449,13 @@ def _bruhat_wa(u: ExtAffineElt, w: ExtAffineElt) -> bool:
     return lu == 0
 
 
-def bruhat_interval(
-    w: ExtAffineElt, budget: int = DEFAULT_INTERVAL_BUDGET
-) -> list[ExtAffineElt]:
+def bruhat_interval(w: ExtAffineElt) -> list[ExtAffineElt]:
     """The lower Bruhat interval of w, enumerated by subword dynamic
     programming over the canonical reduced word."""
-    if length(w) > budget:
+    if length(w) > DEFAULT_INTERVAL_BUDGET:
         raise BudgetError(
-            f"interval of an element of length {length(w)} exceeds budget {budget}"
+            f"interval of an element of length {length(w)} exceeds budget "
+            f"{DEFAULT_INTERVAL_BUDGET}"
         )
     return list(_lower_interval(w))
 
@@ -544,62 +547,3 @@ def adm_contains(datum: RootDatum, lam: WeightVec, w: ExtAffineElt) -> bool:
         bruhat_leq(w, ExtAffineElt.from_translation(datum, v.act(lam)))
         for v in all_weyl_elements(datum)
     )
-
-
-# ---------------------------------------------------------------------------
-# small enumerations used by sweeps
-
-
-def elements_of_length_leq(
-    datum: RootDatum, max_length: int, degrees: tuple[int, ...] | None = None
-) -> list[ExtAffineElt]:
-    """All elements of W_a (optionally shifted into a fixed Omega class) with
-    length at most max_length, by breadth-first growth."""
-    gens = coxeter_generators(datum)
-    seen = {ExtAffineElt.identity(datum).key(): ExtAffineElt.identity(datum)}
-    frontier = [ExtAffineElt.identity(datum)]
-    for cur_len in range(max_length):
-        nxt = []
-        for x in frontier:
-            for _, s in gens:
-                y = x * s
-                if length(y) == cur_len + 1 and y.key() not in seen:
-                    seen[y.key()] = y
-                    nxt.append(y)
-        frontier = nxt
-    out = list(seen.values())
-    if degrees is not None:
-        delta = omega_element(datum, degrees)
-        out = [x * delta for x in out]
-    return sorted(out, key=lambda x: (length(x), x.key()))
-
-
-def box_elements(datum: RootDatum, radius: int):
-    """Every element t_lam . w with translation entries in [-radius, radius],
-    translation-major in product order, w in all_weyl_elements order."""
-    rng = range(-radius, radius + 1)
-    rows = list(itertools.product(rng, repeat=datum.n))
-    weyl = all_weyl_elements(datum)
-    for combo in itertools.product(rows, repeat=datum.f):
-        lam = WeightVec(combo)
-        for w in weyl:
-            yield ExtAffineElt(datum, lam, w)
-
-
-def dominant_box(datum: RootDatum, radius: int) -> list[ExtAffineElt]:
-    """All dominant elements t_lam . w with translation entries in
-    [-radius, radius]."""
-    out = filter(is_dominant_elt, box_elements(datum, radius))
-    return sorted(out, key=lambda x: (length(x), x.key()))
-
-
-def alcove_element_of_point(
-    datum: RootDatum, point: WeightVec, scale: int
-) -> ExtAffineElt:
-    """The affine Weyl group element w with point / scale in w(A0): the
-    product of the generators that fold that point into the base alcove."""
-    gens = coxeter_generators(datum)
-    out = ExtAffineElt.identity(datum)
-    for idx in _fold(datum, point, scale):
-        out = out * gens[idx][1]
-    return out

@@ -4,7 +4,9 @@ Everything here is deliberately naive and kept separate from the optimized
 paths: lengths are counted from alcove vertices, the Bruhat order is decided
 by subword tests over every reduced word, and the raising order by a fresh
 breadth-first chain search on rational sample points.  A bug in the fast
-paths cannot also live here.
+paths cannot also live here.  This is the only module that builds exact
+rational points, and it holds the reference enumerations (elements by
+length, boxes of elements) that the sweeps and tests draw from.
 
 :func:`lemma_sweeps` drives the exhaustive verification harness.  Failures
 are report content with serialized witnesses, never exceptions.  Named
@@ -35,6 +37,7 @@ from .presentation_scan import (
 )
 from .root_data import (
     BudgetError,
+    FiniteWeylElt,
     Root,
     RootDatum,
     ValidationError,
@@ -43,7 +46,6 @@ from .root_data import (
     frobenius_pi,
     in_lowest_alcove,
     is_p_restricted,
-    pair_point,
     pairing,
     x0_shift,
 )
@@ -90,16 +92,18 @@ def separating_hyperplanes(w: ExtAffineElt) -> set[tuple[Root, int]]:
 # brute-force Bruhat order
 
 
-def _require_word_budget(w: ExtAffineElt, budget: int) -> None:
+def _require_word_budget(w: ExtAffineElt) -> None:
     ell = hyperplane_count_length(w)
-    if ell > budget:
-        raise BudgetError(f"length {ell} exceeds the oracle word budget {budget}")
+    if ell > ORACLE_LENGTH_BUDGET:
+        raise BudgetError(
+            f"length {ell} exceeds the oracle word budget {ORACLE_LENGTH_BUDGET}"
+        )
 
 
-def all_reduced_words(w: ExtAffineElt, budget: int = ORACLE_LENGTH_BUDGET):
+def all_reduced_words(w: ExtAffineElt):
     """Every reduced word of an affine Weyl group element, as tuples of
     generator indices, found by peeling each left descent in turn."""
-    _require_word_budget(w, budget)
+    _require_word_budget(w)
     return _reduced_words(w)
 
 
@@ -119,13 +123,11 @@ def _reduced_words(w: ExtAffineElt) -> tuple[tuple[int, ...], ...]:
     return tuple(collected)
 
 
-def subword_closure(
-    w: ExtAffineElt, budget: int = ORACLE_LENGTH_BUDGET
-) -> frozenset:
+def subword_closure(w: ExtAffineElt) -> frozenset:
     """Set of keys of all subword products of the reduced words of w.  The
     subword property makes the set independent of the word; that independence
     is asserted across every word rather than assumed."""
-    _require_word_budget(w, budget)
+    _require_word_budget(w)
     return _subword_closure(w)
 
 
@@ -152,15 +154,45 @@ def _subword_closure(w: ExtAffineElt) -> frozenset:
     return closure
 
 
-def brute_bruhat(
-    u: ExtAffineElt, w: ExtAffineElt, budget: int = ORACLE_LENGTH_BUDGET
-) -> bool:
+def brute_bruhat(u: ExtAffineElt, w: ExtAffineElt) -> bool:
     """Bruhat order by the subword test over all reduced words."""
     if u.omega_degrees() != w.omega_degrees():
         return False
     delta_inv = aw.omega_element(u.datum, u.omega_degrees()).inverse()
     ua, wa = u * delta_inv, w * delta_inv
-    return ua.key() in subword_closure(wa, budget)
+    return ua.key() in subword_closure(wa)
+
+
+# ---------------------------------------------------------------------------
+# exact rational points
+
+
+# Rational points of X*(T) (x) R, as f-tuples of Fraction n-tuples.
+Point = tuple[tuple[Fraction, ...], ...]
+
+
+def sample_point(datum: RootDatum) -> Point:
+    """Exact rational interior point of A0: per embedding ((n-1)/n, ..., 1/n,
+    0).  Its root pairings are non-integral, so no image meets a wall."""
+    row = tuple(Fraction(datum.n - 1 - i, datum.n) for i in range(datum.n))
+    return (row,) * datum.f
+
+
+def pair_point(point: Point, beta: Root) -> Fraction:
+    row = point[beta.j]
+    return row[beta.i] - row[beta.k]
+
+
+def act_point(w: ExtAffineElt, point: Point) -> Point:
+    """w(point) = trans + fin(point), where fin moves entry i of row j to
+    position perm_j[i]."""
+    out = []
+    for trow, perm, row in zip(w.trans.entries, w.fin.perms, point):
+        moved = [None] * len(row)
+        for i, x in enumerate(row):
+            moved[perm[i]] = x
+        out.append(tuple(a + b for a, b in zip(trow, moved)))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +218,8 @@ def brute_up(u: ExtAffineElt, w: ExtAffineElt) -> bool:
     if u.omega_degrees() != w.omega_degrees():
         return False
     datum = u.datum
-    start = u.act_point(datum.sample_point())
-    goal = w.act_point(datum.sample_point())
+    start = act_point(u, sample_point(datum))
+    goal = act_point(w, sample_point(datum))
     if start == goal:
         return True
     lo_pref, hi_pref = _point_prefixes(start), _point_prefixes(goal)
@@ -230,6 +262,88 @@ def brute_up(u: ExtAffineElt, w: ExtAffineElt) -> bool:
                     m += 1
         frontier = nxt
     return False
+
+
+# ---------------------------------------------------------------------------
+# reference enumerations
+
+
+def elements_of_length_leq(
+    datum: RootDatum, max_length: int, degrees: tuple[int, ...] | None = None
+) -> list[ExtAffineElt]:
+    """All elements of W_a (optionally shifted into a fixed Omega class) with
+    length at most max_length, by breadth-first growth."""
+    gens = aw.coxeter_generators(datum)
+    seen = {ExtAffineElt.identity(datum).key(): ExtAffineElt.identity(datum)}
+    frontier = [ExtAffineElt.identity(datum)]
+    for cur_len in range(max_length):
+        nxt = []
+        for x in frontier:
+            for _, s in gens:
+                y = x * s
+                if hyperplane_count_length(y) == cur_len + 1 and y.key() not in seen:
+                    seen[y.key()] = y
+                    nxt.append(y)
+        frontier = nxt
+    out = list(seen.values())
+    if degrees is not None:
+        delta = aw.omega_element(datum, degrees)
+        out = [x * delta for x in out]
+    return sorted(out, key=lambda x: (hyperplane_count_length(x), x.key()))
+
+
+def box_elements(datum: RootDatum, radius: int):
+    """Every element t_lam . w with translation entries in [-radius, radius],
+    translation-major in product order, w in all_weyl_elements order."""
+    rng = range(-radius, radius + 1)
+    rows = list(itertools.product(rng, repeat=datum.n))
+    weyl = all_weyl_elements(datum)
+    for combo in itertools.product(rows, repeat=datum.f):
+        lam = WeightVec(combo)
+        for w in weyl:
+            yield ExtAffineElt(datum, lam, w)
+
+
+def _one_copy(datum: RootDatum) -> RootDatum:
+    return RootDatum(datum.n, 1, datum.p)
+
+
+def _sorted_product(datum: RootDatum, copies) -> list[ExtAffineElt]:
+    """Every element whose factor in embedding j lies in copies[j], in
+    (length, key) order."""
+    out = [
+        ExtAffineElt(
+            datum,
+            WeightVec(tuple(x.trans.entries[0] for x in combo)),
+            FiniteWeylElt(tuple(x.fin.perms[0] for x in combo)),
+        )
+        for combo in itertools.product(*copies)
+    ]
+    return sorted(out, key=lambda x: (hyperplane_count_length(x), x.key()))
+
+
+def dominant_box(datum: RootDatum, radius: int) -> list[ExtAffineElt]:
+    """All dominant elements t_lam . w with translation entries in
+    [-radius, radius], in (length, key) order.  An element is dominant iff
+    its factor in every embedding is, so this is a product of one-copy boxes."""
+    copy_box = filter(aw.is_dominant_elt, box_elements(_one_copy(datum), radius))
+    return _sorted_product(datum, [list(copy_box)] * datum.f)
+
+
+def _dominant_below(
+    datum: RootDatum, copy_box: list[ExtAffineElt], bound: ExtAffineElt
+) -> list[ExtAffineElt]:
+    """The elements of the dominant box below bound in the raising order, in
+    (length, key) order.  The raising order holds iff it holds in every
+    embedding, so the one-copy box is filtered against each factor of bound."""
+    one = _one_copy(datum)
+    factors = [
+        ExtAffineElt(one, WeightVec((row,)), FiniteWeylElt((perm,)))
+        for row, perm in zip(bound.trans.entries, bound.fin.perms)
+    ]
+    return _sorted_product(
+        datum, [[x for x in copy_box if aw.up_leq(x, b)] for b in factors]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +478,7 @@ def _restricted_pool(
     if "drop-restricted-hypothesis" in config.mutations:
         pool = [
             x
-            for x in aw.dominant_box(datum, 1)
+            for x in dominant_box(datum, 1)
             if not aw.is_restricted_elt(x) and aw.length(x) <= 3
         ]
         return tuple(pool[:4])
@@ -378,22 +492,18 @@ def _sweep_reduced1(datum: RootDatum, config: SweepConfig, res: SweepResult) -> 
     if mutated:
         box = [
             x
-            for x in aw.box_elements(datum, 1)
+            for x in box_elements(datum, 1)
             if not aw.is_dominant_elt(x) and aw.length(x) <= 4
         ]
     else:
-        box = aw.dominant_box(datum, config.box_radius)
+        copy_box = dominant_box(_one_copy(datum), config.box_radius)
     for w2 in aw.restricted_reps(datum):
-        bound = wh_inv * w2
-        for w1 in box:
-            if mutated:
-                # a mutated sweep only demonstrates sensitivity; stop once
-                # enough witnesses are found
-                if len(res.counterexamples) >= 3:
-                    return
-            else:
-                if not aw.up_leq(w1, bound):
-                    continue
+        below = box if mutated else _dominant_below(datum, copy_box, wh_inv * w2)
+        for w1 in below:
+            # a mutated sweep only demonstrates sensitivity; stop once enough
+            # witnesses are found
+            if mutated and len(res.counterexamples) >= 3:
+                return
             for alpha in datum.simple_roots():
                 s_a = aw.simple_reflection(datum, alpha)
                 res.checked += 1
@@ -483,10 +593,9 @@ def _sweep_reduced2(datum: RootDatum, config: SweepConfig, res: SweepResult) -> 
 def _sweep_subregular(datum: RootDatum, config: SweepConfig, res: SweepResult) -> None:
     wh = aw.wh_element(datum)
     w0 = aw.w0_element(datum)
-    box = aw.dominant_box(datum, config.box_radius)
+    copy_box = dominant_box(_one_copy(datum), config.box_radius)
     for w2 in aw.restricted_reps(datum):
-        bound = wh.inverse() * w2
-        candidates = [w1 for w1 in box if aw.up_leq(w1, bound)]
+        candidates = _dominant_below(datum, copy_box, wh.inverse() * w2)
         for alpha in datum.simple_roots():
             s_a = aw.simple_reflection(datum, alpha)
             dia = aw.diamond(s_a * w2)

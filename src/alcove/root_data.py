@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -42,14 +41,30 @@ class BudgetError(AlcoveError):
     """An enumeration exceeded its configured resource budget."""
 
 
+# Miller-Rabin with these bases decides primality exactly below 2**64.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test for p < 2**64."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -70,6 +85,10 @@ class RootDatum:
             raise ValidationError("rank n must be >= 2 (n = 1 has no roots)")
         if self.f < 1:
             raise ValidationError("number of embeddings f must be >= 1")
+        if self.p >= 2**64:
+            raise ValidationError(
+                f"p = {self.p} is too large: primality is decided only below 2**64"
+            )
         if not _is_prime(self.p):
             raise ValidationError(f"p = {self.p} is not prime")
         if self.p <= self.n - 1:
@@ -128,16 +147,6 @@ class RootDatum:
             rows[alpha.j][i] = 1
         return WeightVec(tuple(tuple(r) for r in rows))
 
-    def sample_point(self) -> "Point":
-        """Exact rational interior point of the base alcove A0.
-
-        Per embedding the point ((n-1)/n, ..., 1/n, 0); all its root pairings
-        are non-integral, so images under the extended affine Weyl group never
-        meet an affine wall.
-        """
-        row = tuple(Fraction(self.n - 1 - i, self.n) for i in range(self.n))
-        return (row,) * self.f
-
     def base_vertices(self) -> list["WeightVec"]:
         """Integer vertices of the simplex factor of the closed base alcove:
         the prefix vectors (1, ..., 1, 0, ..., 0) with t ones, t = 0..n-1."""
@@ -146,10 +155,6 @@ class RootDatum:
             row = tuple(1 if i < t else 0 for i in range(self.n))
             out.append(WeightVec((row,) * self.f))
         return out
-
-
-# Rational points of X*(T) (x) R, as f-tuples of Fraction n-tuples.
-Point = tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,13 +291,6 @@ class FiniteWeylElt:
             )
         )
 
-    def act_point(self, point: Point) -> Point:
-        inv = self.inverse()
-        return tuple(
-            tuple(row[ip[i]] for i in range(len(row)))
-            for row, ip in zip(point, inv.perms)
-        )
-
     def act_root(self, beta: Root) -> Root:
         perm = self.perms[beta.j]
         return Root(beta.j, perm[beta.i], perm[beta.k])
@@ -313,11 +311,6 @@ def all_weyl_elements(datum: RootDatum) -> list[FiniteWeylElt]:
 def pairing(lam: WeightVec, beta: Root) -> int:
     """Pairing of a weight against the coroot of beta = e_i - e_k."""
     row = lam.entries[beta.j]
-    return row[beta.i] - row[beta.k]
-
-
-def pair_point(point: Point, beta: Root) -> Fraction:
-    row = point[beta.j]
     return row[beta.i] - row[beta.k]
 
 

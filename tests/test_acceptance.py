@@ -24,6 +24,7 @@ from alcove.oracle import (
     _restricted_weight_pool,
     brute_bruhat,
     brute_up,
+    elements_of_length_leq,
     hyperplane_count_length,
     lemma_sweeps,
     subword_closure,
@@ -46,7 +47,7 @@ class TestAcceptance:
         mismatches = []
         for n, f, p in ORDER_CONFIGS:
             datum = RootDatum(n, f, p)
-            elems = aw.elements_of_length_leq(datum, 6)
+            elems = elements_of_length_leq(datum, 6)
             for w in elems:
                 subword_closure(w)
             for u, w in itertools.product(elems, repeat=2):

@@ -13,11 +13,14 @@ from alcove import affine_weyl as aw
 from alcove.affine_weyl import ExtAffineElt, omega_generator
 from alcove.oracle import (
     MUTATIONS,
+    ORACLE_LENGTH_BUDGET,
     SweepConfig,
     _restricted_weight_pool,
+    _subword_closure,
     all_reduced_words,
     brute_bruhat,
     brute_up,
+    elements_of_length_leq,
     hyperplane_count_length,
     lemma_sweeps,
     subword_closure,
@@ -69,14 +72,17 @@ class TestBruteBruhat:
     def test_budget_guard(self, d2):
         big = ExtAffineElt.from_translation(d2, d2.weight([[9, -9]]))
         with pytest.raises(BudgetError):
-            brute_bruhat(ExtAffineElt.identity(d2), big, budget=4)
+            brute_bruhat(ExtAffineElt.identity(d2), big)
 
     def test_budget_checked_before_cache(self, d2):
-        t10 = ExtAffineElt.from_translation(d2, d2.weight([[1, -1]]))
-        wa = aw.omega_decompose(t10).wa
-        assert subword_closure(wa)
+        # the memo holds an element beyond the budget; the public call still
+        # refuses it
+        t = ExtAffineElt.from_translation(d2, d2.weight([[5, -5]]))
+        wa = aw.omega_decompose(t).wa
+        assert aw.length(wa) > ORACLE_LENGTH_BUDGET
+        assert _subword_closure(wa)
         with pytest.raises(BudgetError):
-            subword_closure(wa, budget=aw.length(wa) - 1)
+            subword_closure(wa)
 
     def test_word_count_and_closure(self, d3):
         t_eta = ExtAffineElt.from_translation(d3, d3.eta())
@@ -90,7 +96,7 @@ class TestBruteBruhat:
     @pytest.mark.parametrize("n", [2, 3])
     def test_agrees_with_fast_path(self, n):
         datum = RootDatum(n, 1, 7)
-        elems = aw.elements_of_length_leq(datum, 4)
+        elems = elements_of_length_leq(datum, 4)
         for u, w in itertools.product(elems, repeat=2):
             assert brute_bruhat(u, w) == aw.bruhat_leq(u, w)
 
@@ -101,7 +107,7 @@ class TestBruteUp:
         assert brute_up(e, e)
 
     def test_agrees_with_fast_path(self, d3):
-        elems = aw.elements_of_length_leq(d3, 4)
+        elems = elements_of_length_leq(d3, 4)
         for u, w in itertools.product(elems, repeat=2):
             assert brute_up(u, w) == aw.up_leq(u, w)
 
@@ -229,7 +235,7 @@ def test_fast_layer_does_not_import_the_oracle(module):
     assert not imported_names(module) & {"alcove.oracle", "alcove.presentation_scan"}
 
 
-@pytest.mark.parametrize("module", ["affine_weyl", "weights_dl", "herzig"])
+@pytest.mark.parametrize("module", ["root_data", "affine_weyl", "weights_dl", "herzig"])
 def test_fast_layer_does_not_import_fractions(module):
     # the fast layer locates alcoves by integer points; rational sample
     # points belong to the oracle

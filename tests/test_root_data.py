@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import math
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from alcove.root_data import (
     Root,
     RootDatum,
     ValidationError,
+    _is_prime,
     all_weyl_elements,
     alcove_of,
     depth_of,
@@ -48,6 +52,21 @@ class TestRootDatum:
         # C0 has no lattice points when p <= n - 1
         with pytest.raises(ValidationError):
             RootDatum(3, 1, 2)
+
+    def test_primality_agrees_with_trial_division(self):
+        def by_trial_division(p):
+            return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+        assert all(_is_prime(p) == by_trial_division(p) for p in range(2 * 10**4))
+
+    def test_large_p_decided_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="is not prime"):
+            RootDatum(2, 1, 100000007 * 100000037)
+        assert RootDatum(2, 1, 2**61 - 1).p == 2**61 - 1
+        with pytest.raises(ValidationError, match="too large"):
+            RootDatum(2, 1, 2**64 + 13)
+        assert time.perf_counter() - start < 1.0
 
     def test_eta_pairs_to_one_on_simple_roots(self, d3):
         eta = d3.eta()
