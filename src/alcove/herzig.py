@@ -26,6 +26,7 @@ from .affine_weyl import (
     is_dominant_elt,
     is_restricted_elt,
     p_dot,
+    pi_elt_inv,
     restricted_reps,
     simple_reflection,
     up_leq,
@@ -46,6 +47,7 @@ from .root_data import (
 )
 from .weights_dl import (
     DLPresentation,
+    InvalidPresentationError,
     SerrePresentation,
     SerreWeight,
     _outer_member,
@@ -103,11 +105,13 @@ def _wset_with_presentations(
     tau: TameParam,
 ) -> MappingProxyType[SerreWeight, SerrePresentation]:
     datum = tau.datum
+    mu, s = tau.elt.trans, tau.elt.fin
     out: dict[SerreWeight, SerrePresentation] = {}
 
-    for rep, by_fin in _wset_table(datum):
-        for x in by_fin.get(tau.elt.fin, ()):
-            omega = (tau.elt * x.inverse()).trans
+    for rep, _, by_fin in _wset_table(datum):
+        # x = t_nu s, so t_mu s x^{-1} = t_{mu - nu}
+        for x in by_fin.get(s, ()):
+            omega = mu - x.trans
             if not in_lowest_alcove(datum, omega):
                 continue
             pres = SerrePresentation(rep, omega)
@@ -116,18 +120,22 @@ def _wset_with_presentations(
 
 
 @functools.cache
-def _wset_table(datum: RootDatum) -> tuple[tuple[ExtAffineElt, MappingProxyType], ...]:
-    """Per restricted rep, the interval below w0 rep grouped by finite part,
-    each group in interval order: t_mu s x^{-1} is a translation only when
-    x has the finite part s."""
+def _wset_table(
+    datum: RootDatum,
+) -> tuple[tuple[ExtAffineElt, WeightVec, MappingProxyType], ...]:
+    """Per restricted rep, the translation part of rep^{-1} and the interval
+    below w0 rep grouped by finite part, each group in interval order:
+    t_mu s x^{-1} is a translation only when x has the finite part s."""
     table = []
     for rep in restricted_reps(datum):
         by_fin: dict[FiniteWeylElt, list[ExtAffineElt]] = {}
         for x in bruhat_interval(w0_element(datum) * rep):
             by_fin.setdefault(x.fin, []).append(x)
-        table.append(
-            (rep, MappingProxyType({k: tuple(v) for k, v in by_fin.items()}))
-        )
+        table.append((
+            rep,
+            rep.inverse().trans,
+            MappingProxyType({k: tuple(v) for k, v in by_fin.items()}),
+        ))
     return tuple(table)
 
 
@@ -160,10 +168,11 @@ def _wobv_with_presentations(
     tau: TameParam,
 ) -> MappingProxyType[SerreWeight, SerrePresentation]:
     datum = tau.datum
+    mu, s = tau.elt.trans, tau.elt.fin
     out: dict[SerreWeight, SerrePresentation] = {}
 
-    for rep in restricted_reps(datum):
-        omega = (tau.elt * rep.inverse()).trans
+    for rep, back, _ in _wset_table(datum):
+        omega = mu + s.act(back)
         if not in_lowest_alcove(datum, omega):
             continue
         pres = SerrePresentation(rep, omega)
@@ -348,11 +357,15 @@ def _outer_weight(
 
 @functools.cache
 def _edge_factors(datum: RootDatum) -> tuple[tuple, ...]:
-    """One row (alpha, w2, w1, (w2^{-1} s_alpha w0 w1)^{-1}, outer lifts)
-    per simple root alpha, restricted w2 and dominant w1 below wh^{-1} w2 in
-    the raising order, in enumeration order."""
+    """One row (alpha, w2, w1, F, outer) per simple root alpha, restricted w2
+    and dominant w1 below wh^{-1} w2 in the raising order, in enumeration
+    order, with F = (w2^{-1} s_alpha w0 w1)^{-1}.  Per outer lift (elt, back)
+    from :func:`_outer_lifts`, outer holds (F(back), p nu - eta, v) where
+    pi^{-1}(elt) = t_nu v: for tau = t_mu s and R = tau F the lift's outer
+    weight is p nu - eta + v(mu + s(F(back)))."""
     w0 = w0_element(datum)
     wh_inv = wh_element(datum).inverse()
+    eta = datum.eta()
     rows = []
     for alpha in datum.simple_roots():
         s_alpha = simple_reflection(datum, alpha)
@@ -360,12 +373,20 @@ def _edge_factors(datum: RootDatum) -> tuple[tuple, ...]:
             bound = wh_inv * w2
             if not is_dominant_elt(bound):
                 raise AssertionError("wh^{-1} w2 left the dominant region")
-            lifts = _outer_lifts(alpha, w2)
+            maps = []
+            for elt, back in _outer_lifts(alpha, w2):
+                if not is_restricted_elt(elt):
+                    raise InvalidPresentationError("presentation element is not restricted")
+                pinv = pi_elt_inv(elt)
+                maps.append((back, pinv.trans.scale(datum.p) - eta, pinv.fin))
             for w1 in bruhat_interval(bound):
                 if not is_dominant_elt(w1):
                     continue
-                factor = w2.inverse() * s_alpha * w0 * w1
-                rows.append((alpha, w2, w1, factor.inverse(), lifts))
+                factor_inv = (w2.inverse() * s_alpha * w0 * w1).inverse()
+                outer = tuple(
+                    (factor_inv.act_weight(back), k, v) for back, k, v in maps
+                )
+                rows.append((alpha, w2, w1, factor_inv, outer))
     return tuple(rows)
 
 
@@ -377,18 +398,25 @@ def enumerate_edges(tau: TameParam) -> list[ConnectionEdge]:
     datum = tau.datum
     _require_depth(tau, datum.h_eta, "enumerate_edges")
     members = wset(tau)
+    mu, s = tau.elt.trans, tau.elt.fin
+
+    def outer_weight(c: WeightVec, k: WeightVec, v: FiniteWeylElt) -> SerreWeight:
+        omega = mu + s.act(c)
+        if not in_lowest_alcove(datum, omega):
+            raise InvalidPresentationError("omega - eta does not lie in C0")
+        return SerreWeight.from_weight(datum, k + v.act(omega))
 
     edges = []
-    for alpha, w2, w1, factor_inv, lifts in _edge_factors(datum):
-        w = tau.elt * factor_inv
-        if not in_lowest_alcove(datum, w.trans, depth=datum.h_eta):
+    for alpha, w2, w1, factor_inv, outer in _edge_factors(datum):
+        trans = mu + s.act(factor_inv.trans)
+        if not in_lowest_alcove(datum, trans, depth=datum.h_eta):
             continue
-        R = DLPresentation(w)
-        a, b = (_outer_weight(R, lift) for lift in lifts)
+        a, b = (outer_weight(*lift) for lift in outer)
         if a == b:
             continue
         if a not in members or b not in members:
             raise AssertionError("designated outer weight escaped the predicted set")
+        R = DLPresentation(ExtAffineElt(datum, trans, s * factor_inv.fin))
         edges.append(ConnectionEdge(sigma=a, sigma2=b, R=R, alpha=alpha, w1=w1, w2=w2))
     return edges
 

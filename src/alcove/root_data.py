@@ -19,7 +19,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -106,8 +108,7 @@ class RootDatum:
         return WeightVec((row,) * self.f)
 
     def eta(self) -> "WeightVec":
-        row = tuple(range(self.n - 1, -1, -1))
-        return WeightVec((row,) * self.f)
+        return _fixed_tables(self)[0]
 
     def weight(self, entries: Sequence[Sequence[int]]) -> "WeightVec":
         ent = tuple(tuple(int(x) for x in row) for row in entries)
@@ -117,24 +118,15 @@ class RootDatum:
             )
         return WeightVec(ent)
 
-    def simple_roots(self) -> list["Root"]:
-        return [
-            Root(j, i, i + 1)
-            for j in range(self.f)
-            for i in range(self.n - 1)
-        ]
+    def simple_roots(self) -> tuple["Root", ...]:
+        return _fixed_tables(self)[1]
 
-    def positive_roots(self) -> list["Root"]:
-        return [
-            Root(j, i, k)
-            for j in range(self.f)
-            for i in range(self.n)
-            for k in range(i + 1, self.n)
-        ]
+    def positive_roots(self) -> tuple["Root", ...]:
+        return _fixed_tables(self)[2]
 
     def all_roots(self) -> list["Root"]:
         pos = self.positive_roots()
-        return pos + [Root(r.j, r.k, r.i) for r in pos]
+        return [*pos, *(Root(r.j, r.k, r.i) for r in pos)]
 
     def omega_alpha(self, alpha: "Root") -> "WeightVec":
         """Fundamental weight dual to the simple root alpha, fixed as
@@ -155,6 +147,20 @@ class RootDatum:
             row = tuple(1 if i < t else 0 for i in range(self.n))
             out.append(WeightVec((row,) * self.f))
         return out
+
+
+@functools.cache
+def _fixed_tables(
+    datum: RootDatum,
+) -> tuple["WeightVec", tuple["Root", ...], tuple["Root", ...]]:
+    """eta, the simple roots and the positive roots of the datum, built once."""
+    n, f = datum.n, datum.f
+    eta = WeightVec((tuple(range(n - 1, -1, -1)),) * f)
+    simple = tuple(Root(j, i, i + 1) for j in range(f) for i in range(n - 1))
+    positive = tuple(
+        Root(j, i, k) for j in range(f) for i in range(n) for k in range(i + 1, n)
+    )
+    return eta, simple, positive
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,7 +196,7 @@ class WeightVec:
     def __add__(self, other: "WeightVec") -> "WeightVec":
         return WeightVec(
             tuple(
-                tuple(a + b for a, b in zip(ra, rb))
+                tuple(map(operator.add, ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
             )
         )
@@ -198,7 +204,7 @@ class WeightVec:
     def __sub__(self, other: "WeightVec") -> "WeightVec":
         return WeightVec(
             tuple(
-                tuple(a - b for a, b in zip(ra, rb))
+                tuple(map(operator.sub, ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
             )
         )
@@ -283,13 +289,14 @@ class FiniteWeylElt:
         return all(perm[i] == i for perm in self.perms for i in range(len(perm)))
 
     def act(self, lam: WeightVec) -> WeightVec:
-        inv = self.inverse()
-        return WeightVec(
-            tuple(
-                tuple(row[ip[i]] for i in range(len(row)))
-                for row, ip in zip(lam.entries, inv.perms)
-            )
-        )
+        # entry i of row j moves to position perm_j[i]
+        out = []
+        for row, perm in zip(lam.entries, self.perms):
+            moved = list(row)
+            for i, v in zip(perm, row):
+                moved[i] = v
+            out.append(tuple(moved))
+        return WeightVec(tuple(out))
 
     def act_root(self, beta: Root) -> Root:
         perm = self.perms[beta.j]

@@ -148,7 +148,12 @@ def _canonical_omega(datum: RootDatum, omega: WeightVec) -> WeightVec:
     entries); the named Serre weight is unchanged."""
     last = tuple(row[-1] for row in omega.entries)
     digits = _x0_class_digits(datum, last)
-    return omega + x0_shift(datum, [d - a for d, a in zip(digits, last)])
+    return WeightVec(
+        tuple(
+            tuple(x + d - row[-1] for x in row)
+            for row, d in zip(omega.entries, digits)
+        )
+    )
 
 
 def presentations_of(sigma: SerreWeight) -> list[SerrePresentation]:

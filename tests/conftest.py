@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from alcove import affine_weyl, herzig, oracle, presentation_scan, weights_dl
+from alcove import affine_weyl, herzig, oracle, presentation_scan, root_data, weights_dl
 from alcove.root_data import RootDatum
 
 
@@ -32,7 +32,9 @@ def clear_caches():
     call computes from cold."""
 
     def clear() -> None:
-        for module in (affine_weyl, herzig, oracle, presentation_scan, weights_dl):
+        for module in (
+            affine_weyl, herzig, oracle, presentation_scan, root_data, weights_dl
+        ):
             for value in vars(module).values():
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()

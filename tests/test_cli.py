@@ -7,8 +7,11 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from alcove.cli import (
+    EXIT_BUDGET,
     EXIT_OK,
     EXIT_REFUSED,
     EXIT_VERIFY_FAILED,
@@ -183,3 +186,79 @@ class TestEliminateCommand:
         )
         assert code == EXIT_REFUSED
         assert "refusal" in err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: small well-formed and malformed arguments, n <= 3, f <= 2, p <= 13
+
+
+SCHEMAS = {
+    "wset": "wset.schema.json",
+    "graph": "graph.schema.json",
+    "eliminate": "certificate.schema.json",
+}
+JUNK = st.text(alphabet="0123456789,; -+x.", max_size=12)
+MALFORMED = {
+    "n": st.sampled_from(["-2", "0", "1", "", "x", "2.0"]),
+    "f": st.sampled_from(["-1", "0", "", "x", "1.5"]),
+    "p": st.sampled_from(["-7", "0", "1", "4", "9", "12", "", "x", "7.0"]),
+}
+
+
+def _join(rows):
+    return ";".join(",".join(str(x) for x in row) for row in rows)
+
+
+def _rows(f, n, lo, hi, gap):
+    # rows of n integers falling by 1..gap from a start in [lo, hi]
+    row = st.tuples(
+        st.integers(lo, hi), st.lists(st.integers(1, gap), min_size=n - 1, max_size=n - 1)
+    ).map(lambda t: [t[0] + sum(t[1][i:]) for i in range(n)])
+    return st.lists(row, min_size=f, max_size=f).map(_join)
+
+
+@st.composite
+def cli_arguments(draw):
+    """One command; at most one argument malformed, the others well-formed."""
+    command = draw(st.sampled_from(["wset", "graph", "eliminate"]))
+    n, f = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    values = {
+        "n": str(n),
+        "f": str(f),
+        "p": str(p),
+        "s": draw(st.lists(st.permutations(range(1, n + 1)), min_size=f, max_size=f).map(_join)),
+        "mu": draw(_rows(f, n, -2, 2 * p, max(1, p // 2))),
+    }
+    if command == "eliminate":
+        values["sigma"] = draw(_rows(f, n, -1, p, p))
+    broken = draw(st.sampled_from([None, *values]))
+    if broken is not None:
+        values[broken] = draw(MALFORMED.get(broken, JUNK))
+    argv = [command, *(f"--{k}={v}" for k, v in values.items())]
+    if command == "graph" and draw(st.booleans()):
+        argv.append("--format=dot")
+    return argv
+
+
+class TestFuzz:
+    @given(argv=cli_arguments())
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    def test_every_outcome_is_an_exit_code(self, argv):
+        try:
+            code, out, err = run_cli(*argv)
+        except SystemExit as exc:  # argparse refuses malformed integers
+            code, out, err = exc.code, "", ""
+        assert code in (EXIT_OK, EXIT_REFUSED, EXIT_BUDGET, EXIT_VERIFY_FAILED)
+        assert "Traceback" not in err
+        if not out or "--format=dot" in argv:
+            return
+        payload = json.loads(out)
+        if code == EXIT_OK:
+            jsonschema.validate(payload, load_schema(SCHEMAS[argv[0]]))
+        else:
+            # the one refusal with a stdout payload: sigma is a member
+            assert argv[0] == "eliminate" and payload["eliminable"] is False
+            assert payload["membership_witness"] is not None

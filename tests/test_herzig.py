@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from alcove import herzig
+from alcove import herzig, weights_dl
 from alcove.affine_weyl import (
     ExtAffineElt,
     _generator_walls,
@@ -149,7 +149,7 @@ class TestImmutableResults:
                 seq.pop()
             with pytest.raises((TypeError, AttributeError)):
                 seq[0] = None
-        for rep, by_fin in _wset_table(d2):
+        for rep, _, by_fin in _wset_table(d2):
             with pytest.raises(TypeError):
                 by_fin[rep.fin] = ()
         top = w0_element(d2) * restricted_reps(d2)[1]
@@ -210,7 +210,15 @@ def _reference_edges(tau):
 
 class TestPerDatumTables:
     @pytest.mark.parametrize(
-        "nfp, count", [((3, 1, 37), 3), ((2, 2, 13), 3), ((3, 2, 37), 1), ((4, 1, 29), 1)]
+        "nfp, count",
+        [
+            ((3, 1, 37), 3),
+            ((2, 2, 13), 3),
+            ((3, 2, 37), 1),
+            ((4, 1, 29), 1),
+            ((2, 3, 7), 2),
+            ((4, 1, 41), 1),
+        ],
     )
     def test_outputs_and_order_match_the_per_tau_loops(self, nfp, count):
         # order matters: setdefault keeps the first witness presentation
@@ -231,6 +239,21 @@ class TestPerDatumTables:
         assert len(wset(fresh)) == 9
         assert len(wobv(fresh)) == 6
         assert connectivity_graph(fresh).is_connected()
+
+    def test_warm_datum_edges_need_no_outer_presentation(self, d3, monkeypatch):
+        # the per-tau edge loop reads each outer weight off its table row
+        first, fresh = _deep_tau_samples(d3, 2, 2 * d3.h_eta, random.Random(31))
+        expected = [e.to_json() for e in enumerate_edges(first)]
+        wset(fresh)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-tau call into the outer presentation path")
+
+        for name in ("_outer_weight", "_outer_lifts", "p_dot"):
+            monkeypatch.setattr(herzig, name, refuse)
+        monkeypatch.setattr(weights_dl, "p_dot", refuse)
+        assert [e.to_json() for e in enumerate_edges(first)] == expected
+        assert len(enumerate_edges(fresh)) > 0
 
 
 class TestWobv:

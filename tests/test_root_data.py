@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import time
 
 import pytest
@@ -77,6 +78,17 @@ class TestRootDatum:
         assert len(d3.positive_roots()) == 3
         assert len(d3.all_roots()) == 6
         assert len(d22.positive_roots()) == 2
+
+    def test_fixed_tables_are_built_once(self, d22):
+        for table in (RootDatum.eta, RootDatum.simple_roots, RootDatum.positive_roots):
+            first = table(d22)
+            assert table(d22) is first
+            assert table(RootDatum(2, 2, 7)) is first
+        for roots in (d22.simple_roots(), d22.positive_roots()):
+            assert isinstance(roots, tuple)
+        assert isinstance(d22.eta().entries, tuple)
+        # all_roots stays a fresh list, so a caller may extend it
+        assert d22.all_roots() is not d22.all_roots()
 
 
 class TestPairing:
@@ -218,6 +230,21 @@ class TestFiniteWeyl:
         lam = d3.weight([[5, 2, 0]])
         # position i of the result reads position w^{-1}(i)
         assert w.act(lam) == d3.weight([[0, 5, 2]])
+
+    def test_action_matches_its_definition(self):
+        # (w . lam)[j][i] = lam[j][w_j^{-1}(i)], for every element at (3,2,p)
+        datum = RootDatum(3, 2, 7)
+        rng = random.Random(41)
+        for w in all_weyl_elements(datum):
+            inv = w.inverse().perms
+            for _ in range(3):
+                lam = datum.weight(
+                    [[rng.randint(-9, 9) for _ in range(3)] for _ in range(2)]
+                )
+                expected = [
+                    [lam.entries[j][inv[j][i]] for i in range(3)] for j in range(2)
+                ]
+                assert w.act(lam) == datum.weight(expected)
 
     def test_one_line_rejects_garbage(self, d3):
         with pytest.raises(ValidationError):
