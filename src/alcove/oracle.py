@@ -422,8 +422,12 @@ class SweepReport:
                 "p": self.config.p,
                 "box_radius": self.config.box_radius,
                 "tau_samples": self.config.tau_samples,
+                "pair_samples": self.config.pair_samples,
                 "seed": self.config.seed,
                 "mutations": sorted(self.config.mutations),
+                "sweeps": (
+                    None if self.config.sweeps is None else list(self.config.sweeps)
+                ),
             },
             "passed": self.passed,
             "sweeps": [r.to_json() for r in self.results],

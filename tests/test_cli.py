@@ -117,6 +117,20 @@ class TestVerifyCommand:
         assert any(s["counterexamples"] for s in payload["sweeps"])
         jsonschema.validate(payload, load_schema("report.schema.json"))
 
+    def test_config_names_what_was_checked(self):
+        configs = []
+        for samples in ("1", "2"):
+            code, out, _ = run_cli(
+                "verify", "--n", "2", "--f", "1", "--p", "13",
+                "--sweep", "wtintersect", "--pair-samples", samples,
+            )
+            assert code == EXIT_OK
+            payload = json.loads(out)
+            jsonschema.validate(payload, load_schema("report.schema.json"))
+            configs.append(payload["config"])
+        assert [c["pair_samples"] for c in configs] == [1, 2]
+        assert configs[0]["sweeps"] == ["wtintersect"]
+
     def test_output_file(self, tmp_path):
         target = tmp_path / "report.json"
         code, out, _ = run_cli(
