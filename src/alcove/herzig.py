@@ -108,7 +108,7 @@ def _wset_with_presentations(
     mu, s = tau.elt.trans, tau.elt.fin
     out: dict[SerreWeight, SerrePresentation] = {}
 
-    for rep, _, by_fin in _wset_table(datum):
+    for rep, by_fin in _wset_table(datum):
         # x = t_nu s, so t_mu s x^{-1} = t_{mu - nu}
         for x in by_fin.get(s, ()):
             omega = mu - x.trans
@@ -120,22 +120,18 @@ def _wset_with_presentations(
 
 
 @functools.cache
-def _wset_table(
-    datum: RootDatum,
-) -> tuple[tuple[ExtAffineElt, WeightVec, MappingProxyType], ...]:
-    """Per restricted rep, the translation part of rep^{-1} and the interval
-    below w0 rep grouped by finite part, each group in interval order:
-    t_mu s x^{-1} is a translation only when x has the finite part s."""
+def _wset_table(datum: RootDatum) -> tuple[tuple[ExtAffineElt, MappingProxyType], ...]:
+    """Per restricted rep, the interval below w0 rep grouped by finite part,
+    each group in interval order: t_mu s x^{-1} is a translation only when
+    x has the finite part s."""
     table = []
     for rep in restricted_reps(datum):
         by_fin: dict[FiniteWeylElt, list[ExtAffineElt]] = {}
         for x in bruhat_interval(w0_element(datum) * rep):
             by_fin.setdefault(x.fin, []).append(x)
-        table.append((
-            rep,
-            rep.inverse().trans,
-            MappingProxyType({k: tuple(v) for k, v in by_fin.items()}),
-        ))
+        table.append(
+            (rep, MappingProxyType({k: tuple(v) for k, v in by_fin.items()}))
+        )
     return tuple(table)
 
 
@@ -168,11 +164,12 @@ def _wobv_with_presentations(
     tau: TameParam,
 ) -> MappingProxyType[SerreWeight, SerrePresentation]:
     datum = tau.datum
-    mu, s = tau.elt.trans, tau.elt.fin
     out: dict[SerreWeight, SerrePresentation] = {}
 
-    for rep, back, _ in _wset_table(datum):
-        omega = mu + s.act(back)
+    # restricted_reps, not _wset_table: wobv builds no Bruhat interval, so it
+    # answers where the intervals exceed their budget, e.g. at (4,2,41)
+    for rep in restricted_reps(datum):
+        omega = (tau.elt * rep.inverse()).trans
         if not in_lowest_alcove(datum, omega):
             continue
         pres = SerrePresentation(rep, omega)

@@ -149,7 +149,7 @@ class TestImmutableResults:
                 seq.pop()
             with pytest.raises((TypeError, AttributeError)):
                 seq[0] = None
-        for rep, _, by_fin in _wset_table(d2):
+        for rep, by_fin in _wset_table(d2):
             with pytest.raises(TypeError):
                 by_fin[rep.fin] = ()
         top = w0_element(d2) * restricted_reps(d2)[1]
@@ -264,6 +264,16 @@ class TestWobv:
         obv = wobv(tau3)
         assert len(obv) == 6
         assert obv < wset(tau3)
+
+    def test_no_interval_where_intervals_exceed_their_budget(self, monkeypatch):
+        # at (4,2,41) the intervals below w0 rep are refused; wobv needs none
+        def refuse(*args, **kwargs):
+            raise AssertionError("wobv asked for a Bruhat interval")
+
+        monkeypatch.setattr(herzig, "bruhat_interval", refuse)
+        datum = RootDatum(4, 2, 41)
+        tau = tame(datum, [[30, 20, 10, 0]] * 2, [[2, 3, 4, 1], [1, 2, 3, 4]])
+        assert len(wobv(tau)) == 576
 
     def test_product_count(self, d22):
         tau = tame(d22, [[5, 1], [4, 0]])
