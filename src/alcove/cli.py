@@ -243,6 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse (Python 3.11) reads "--opt=--" as an empty list of values
+    # instead of refusing it; refuse it here, as argparse refuses "--opt"
+    for name, value in vars(args).items():
+        if isinstance(value, list) and (not value or [] in value):
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
     try:
         return args.func(args)
     except (DepthError, ValidationError, NotEliminableError) as exc:

@@ -202,6 +202,22 @@ class TestEliminateCommand:
         assert "refusal" in err
 
 
+class TestArgumentParsing:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            (*WSET_ARGS[:-2], "--mu=--"),
+            ("wset", "--n=--", "--p", "7", "--s", "21", "--mu", "5,1"),
+            (*GRAPH_ARGS, "--out=--"),
+            ("verify", "--n", "2", "--p", "13", "--sweep=--"),
+        ],
+    )
+    def test_double_dash_value_refused(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == EXIT_REFUSED
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: small well-formed and malformed arguments, n <= 3, f <= 2, p <= 13
 
@@ -213,9 +229,9 @@ SCHEMAS = {
 }
 JUNK = st.text(alphabet="0123456789,; -+x.", max_size=12)
 MALFORMED = {
-    "n": st.sampled_from(["-2", "0", "1", "", "x", "2.0"]),
-    "f": st.sampled_from(["-1", "0", "", "x", "1.5"]),
-    "p": st.sampled_from(["-7", "0", "1", "4", "9", "12", "", "x", "7.0"]),
+    "n": st.sampled_from(["-2", "0", "1", "", "x", "2.0", "--"]),
+    "f": st.sampled_from(["-1", "0", "", "x", "1.5", "--"]),
+    "p": st.sampled_from(["-7", "0", "1", "4", "9", "12", "", "x", "7.0", "--"]),
 }
 
 
