@@ -1,5 +1,10 @@
-"""Rewrite ``cli.json``: the exit code and the sha256 of stdout and of stderr
-of each CLI command below, run in one process through ``alcove.cli.main``.
+"""Rewrite the two golden files:
+
+- ``cli.json``: the exit code and the sha256 of stdout and of stderr of each
+  CLI command below, run in one process through ``alcove.cli.main``;
+- ``queries.json``: one sha256 per (configuration, query kind) of the
+  seeded library queries below, so that a mismatch names the group that
+  moved.
 
 Run from the repository root with ``PYTHONPATH=src python
 tests/golden/regenerate.py``.  A change that moves a golden says so, and
@@ -11,12 +16,23 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from alcove.affine_weyl import ExtAffineElt
 from alcove.cli import main
+from alcove.herzig import (
+    TameParam,
+    connectivity_graph,
+    enumerate_edges,
+    wobv_with_presentations,
+    wset_with_presentations,
+)
+from alcove.root_data import FiniteWeylElt, RootDatum, all_weyl_elements
 
 GOLDEN = Path(__file__).with_name("cli.json")
+QUERIES = Path(__file__).with_name("queries.json")
 
 _F1_SWEEPS = (
     "subregular", "reduced1", "omega", "covering_char", "dl_decent",
@@ -80,5 +96,76 @@ def run(argv: list[str]) -> dict:
     }
 
 
+# (n, f, p) -> number of seeded tau; all five query kinds run on each
+QUERY_CONFIGS: dict[tuple[int, int, int], int] = {
+    (2, 1, 7): 3,
+    (3, 1, 37): 3,
+    (2, 2, 13): 3,
+    (3, 2, 37): 2,
+    (4, 1, 41): 2,
+    (2, 3, 7): 2,
+}
+# wobv answers at (4,2,41), where the Bruhat intervals behind wset and the
+# graph exceed their budget
+WOBV_ONLY = (4, 2, 41)
+
+
+def seeded_taus(nfp: tuple[int, int, int], count: int) -> list[TameParam]:
+    """count distinct tame parameters 2 h_eta-deep over the lowest alcove,
+    drawn from a generator seeded by the configuration alone."""
+    datum = RootDatum(*nfp)
+    depth = 2 * datum.h_eta
+    rng = random.Random(repr(nfp))
+    weyl = all_weyl_elements(datum)
+    out = []
+    while len(out) < count:
+        fin = rng.choice(weyl)
+        rows = []
+        for _ in range(datum.f):
+            row = [rng.randint(0, datum.p)]
+            for _ in range(datum.n - 1):
+                row.insert(0, row[0] + rng.randint(depth + 1, datum.p - depth - 1))
+            rows.append(row)
+        tau = TameParam(ExtAffineElt(datum, datum.weight(rows), fin))
+        given = tau.lowest_alcove_depth()
+        if given is not None and given >= depth and tau not in out:
+            out.append(tau)
+    return out
+
+
+def _digest(values) -> str:
+    text = "\n".join(json.dumps(v, sort_keys=True, separators=(",", ":")) for v in values)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _presented(mapping) -> list:
+    return [[sigma.to_json(), pres.to_json()] for sigma, pres in mapping.items()]
+
+
+def query_digests(nfp: tuple[int, int, int]) -> dict[str, str]:
+    """The sha256 of each query kind over the seeded tau of one configuration."""
+    if nfp == WOBV_ONLY:
+        datum = RootDatum(*nfp)
+        top = [30, 20, 10, 0]
+        fin = FiniteWeylElt.from_one_line(datum, [[2, 3, 4, 1], [1, 2, 3, 4]])
+        tau = TameParam(ExtAffineElt(datum, datum.weight([top, top]), fin))
+        return {"wobv_with_presentations": _digest([_presented(wobv_with_presentations(tau))])}
+    taus = seeded_taus(nfp, QUERY_CONFIGS[nfp])
+    graphs = [connectivity_graph(tau) for tau in taus]
+    return {
+        "wset_with_presentations": _digest(_presented(wset_with_presentations(t)) for t in taus),
+        "wobv_with_presentations": _digest(_presented(wobv_with_presentations(t)) for t in taus),
+        "enumerate_edges": _digest([e.to_json() for e in enumerate_edges(t)] for t in taus),
+        "graph_json": _digest(g.to_json() for g in graphs),
+        "graph_dot": _digest(g.to_dot() for g in graphs),
+    }
+
+
+def config_name(nfp: tuple[int, int, int]) -> str:
+    return ",".join(map(str, nfp))
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps([run(argv) for argv in COMMANDS], indent=2) + "\n")
+    digests = {config_name(c): query_digests(c) for c in (*QUERY_CONFIGS, WOBV_ONLY)}
+    QUERIES.write_text(json.dumps(digests, indent=2) + "\n")
