@@ -107,31 +107,63 @@ def _wset_with_presentations(
     datum = tau.datum
     mu, s = tau.elt.trans, tau.elt.fin
     out: dict[SerreWeight, SerrePresentation] = {}
-
-    for rep, by_fin in _wset_table(datum):
+    for (rep, k, v, _), by_fin in zip(_rep_maps(datum), _wset_table(datum)):
         # x = t_nu s, so t_mu s x^{-1} = t_{mu - nu}
-        for x in by_fin.get(s, ()):
-            omega = mu - x.trans
-            if not in_lowest_alcove(datum, omega):
-                continue
-            pres = SerrePresentation(rep, omega)
-            out.setdefault(pres.weight(), pres)
+        for nu in by_fin.get(s, ()):
+            omega = mu - nu
+            if in_lowest_alcove(datum, omega):
+                _keep_first_witness(out, rep, k, v, omega)
     return MappingProxyType(out)
 
 
+def _weight_map(elt: ExtAffineElt) -> tuple[WeightVec, FiniteWeylElt]:
+    """(p nu - eta, v) for a restricted elt with pi^{-1}(elt) = t_nu v: the
+    weight of the presentation (elt, omega) is p nu - eta + v(omega)."""
+    if not is_restricted_elt(elt):
+        raise InvalidPresentationError("presentation element is not restricted")
+    datum = elt.datum
+    pinv = pi_elt_inv(elt)
+    return pinv.trans.scale(datum.p) - datum.eta(), pinv.fin
+
+
 @functools.cache
-def _wset_table(datum: RootDatum) -> tuple[tuple[ExtAffineElt, MappingProxyType], ...]:
-    """Per restricted rep, the interval below w0 rep grouped by finite part,
-    each group in interval order: t_mu s x^{-1} is a translation only when
-    x has the finite part s."""
+def _rep_maps(
+    datum: RootDatum,
+) -> tuple[tuple[ExtAffineElt, WeightVec, FiniteWeylElt, WeightVec], ...]:
+    """Per restricted rep, in order, (rep, k, v, rep^{-1}(0)) with (k, v) its
+    :func:`_weight_map`: t_mu s rep^{-1} has translation part
+    mu + s(rep^{-1}(0))."""
+    return tuple(
+        (rep, *_weight_map(rep), rep.inverse().trans) for rep in restricted_reps(datum)
+    )
+
+
+def _keep_first_witness(
+    out: dict[SerreWeight, SerrePresentation],
+    rep: ExtAffineElt,
+    k: WeightVec,
+    v: FiniteWeylElt,
+    omega: WeightVec,
+) -> None:
+    """Record (rep, omega) as the witness of its weight k + v(omega) unless
+    that weight already has one; omega must lie over C0."""
+    sigma = SerreWeight.from_weight(rep.datum, k + v.act(omega))
+    if sigma not in out:
+        out[sigma] = SerrePresentation._prechecked(rep, omega)
+
+
+@functools.cache
+def _wset_table(datum: RootDatum) -> tuple[MappingProxyType, ...]:
+    """Per restricted rep, in the order of :func:`_rep_maps`, the translation
+    parts of the interval below w0 rep grouped by finite part, each group in
+    interval order: t_mu s x^{-1} is a translation only when x has the finite
+    part s."""
     table = []
     for rep in restricted_reps(datum):
-        by_fin: dict[FiniteWeylElt, list[ExtAffineElt]] = {}
+        by_fin: dict[FiniteWeylElt, list[WeightVec]] = {}
         for x in bruhat_interval(w0_element(datum) * rep):
-            by_fin.setdefault(x.fin, []).append(x)
-        table.append(
-            (rep, MappingProxyType({k: tuple(v) for k, v in by_fin.items()}))
-        )
+            by_fin.setdefault(x.fin, []).append(x.trans)
+        table.append(MappingProxyType({k: tuple(v) for k, v in by_fin.items()}))
     return tuple(table)
 
 
@@ -164,16 +196,14 @@ def _wobv_with_presentations(
     tau: TameParam,
 ) -> MappingProxyType[SerreWeight, SerrePresentation]:
     datum = tau.datum
+    mu, s = tau.elt.trans, tau.elt.fin
     out: dict[SerreWeight, SerrePresentation] = {}
-
-    # restricted_reps, not _wset_table: wobv builds no Bruhat interval, so it
+    # _rep_maps, not _wset_table: wobv builds no Bruhat interval, so it
     # answers where the intervals exceed their budget, e.g. at (4,2,41)
-    for rep in restricted_reps(datum):
-        omega = (tau.elt * rep.inverse()).trans
-        if not in_lowest_alcove(datum, omega):
-            continue
-        pres = SerrePresentation(rep, omega)
-        out.setdefault(pres.weight(), pres)
+    for rep, k, v, back in _rep_maps(datum):
+        omega = mu + s.act(back)
+        if in_lowest_alcove(datum, omega):
+            _keep_first_witness(out, rep, k, v, omega)
     return MappingProxyType(out)
 
 
@@ -353,16 +383,19 @@ def _outer_weight(
 
 
 @functools.cache
-def _edge_factors(datum: RootDatum) -> tuple[tuple, ...]:
-    """One row (alpha, w2, w1, F, outer) per simple root alpha, restricted w2
-    and dominant w1 below wh^{-1} w2 in the raising order, in enumeration
-    order, with F = (w2^{-1} s_alpha w0 w1)^{-1}.  Per outer lift (elt, back)
-    from :func:`_outer_lifts`, outer holds (F(back), p nu - eta, v) where
-    pi^{-1}(elt) = t_nu v: for tau = t_mu s and R = tau F the lift's outer
-    weight is p nu - eta + v(mu + s(F(back)))."""
+def _edge_factors(datum: RootDatum) -> tuple[tuple, tuple, tuple]:
+    """(lifts, translations, rows) with one row (alpha, w2, w1, fin, t, a, b)
+    per simple root alpha, restricted w2 and dominant w1 below wh^{-1} w2 in
+    the raising order, in enumeration order.  F = (w2^{-1} s_alpha w0 w1)^{-1}
+    has finite part fin and translation part translations[t].  lifts[a] and
+    lifts[b] are the maps (F(back), k, v) of the two outer lifts (elt, back)
+    from :func:`_outer_lifts`, with (k, v) the :func:`_weight_map` of elt:
+    for tau = t_mu s and R = tau F the lift's outer weight is
+    k + v(mu + s(F(back))).  Equal maps and translations are stored once."""
     w0 = w0_element(datum)
     wh_inv = wh_element(datum).inverse()
-    eta = datum.eta()
+    lifts: dict[tuple, int] = {}
+    translations: dict[WeightVec, int] = {}
     rows = []
     for alpha in datum.simple_roots():
         s_alpha = simple_reflection(datum, alpha)
@@ -370,21 +403,18 @@ def _edge_factors(datum: RootDatum) -> tuple[tuple, ...]:
             bound = wh_inv * w2
             if not is_dominant_elt(bound):
                 raise AssertionError("wh^{-1} w2 left the dominant region")
-            maps = []
-            for elt, back in _outer_lifts(alpha, w2):
-                if not is_restricted_elt(elt):
-                    raise InvalidPresentationError("presentation element is not restricted")
-                pinv = pi_elt_inv(elt)
-                maps.append((back, pinv.trans.scale(datum.p) - eta, pinv.fin))
+            maps = [(back, *_weight_map(elt)) for elt, back in _outer_lifts(alpha, w2)]
             for w1 in bruhat_interval(bound):
                 if not is_dominant_elt(w1):
                     continue
                 factor_inv = (w2.inverse() * s_alpha * w0 * w1).inverse()
-                outer = tuple(
-                    (factor_inv.act_weight(back), k, v) for back, k, v in maps
+                a, b = (
+                    lifts.setdefault((factor_inv.act_weight(back), k, v), len(lifts))
+                    for back, k, v in maps
                 )
-                rows.append((alpha, w2, w1, factor_inv, outer))
-    return tuple(rows)
+                t = translations.setdefault(factor_inv.trans, len(translations))
+                rows.append((alpha, w2, w1, factor_inv.fin, t, a, b))
+    return tuple(lifts), tuple(translations), tuple(rows)
 
 
 def enumerate_edges(tau: TameParam) -> list[ConnectionEdge]:
@@ -396,24 +426,35 @@ def enumerate_edges(tau: TameParam) -> list[ConnectionEdge]:
     _require_depth(tau, datum.h_eta, "enumerate_edges")
     members = wset(tau)
     mu, s = tau.elt.trans, tau.elt.fin
+    lifts, translations, rows = _edge_factors(datum)
+    # each translation and lift map is evaluated once, by the first row
+    # that needs it, so refusals and skips fall on the same row as per-row work
+    deep: dict[int, WeightVec | None] = {}
+    weights: dict[int, SerreWeight] = {}
 
-    def outer_weight(c: WeightVec, k: WeightVec, v: FiniteWeylElt) -> SerreWeight:
-        omega = mu + s.act(c)
-        if not in_lowest_alcove(datum, omega):
-            raise InvalidPresentationError("omega - eta does not lie in C0")
-        return SerreWeight.from_weight(datum, k + v.act(omega))
+    def outer_weight(i: int) -> SerreWeight:
+        if i not in weights:
+            c, k, v = lifts[i]
+            omega = mu + s.act(c)
+            if not in_lowest_alcove(datum, omega):
+                raise InvalidPresentationError("omega - eta does not lie in C0")
+            weights[i] = SerreWeight.from_weight(datum, k + v.act(omega))
+        return weights[i]
 
     edges = []
-    for alpha, w2, w1, factor_inv, outer in _edge_factors(datum):
-        trans = mu + s.act(factor_inv.trans)
-        if not in_lowest_alcove(datum, trans, depth=datum.h_eta):
+    for alpha, w2, w1, fin, t, i, j in rows:
+        if t not in deep:
+            trans = mu + s.act(translations[t])
+            deep[t] = trans if in_lowest_alcove(datum, trans, depth=datum.h_eta) else None
+        trans = deep[t]
+        if trans is None:
             continue
-        a, b = (outer_weight(*lift) for lift in outer)
+        a, b = outer_weight(i), outer_weight(j)
         if a == b:
             continue
         if a not in members or b not in members:
             raise AssertionError("designated outer weight escaped the predicted set")
-        R = DLPresentation(ExtAffineElt(datum, trans, s * factor_inv.fin))
+        R = DLPresentation(ExtAffineElt(datum, trans, s * fin))
         edges.append(ConnectionEdge(sigma=a, sigma2=b, R=R, alpha=alpha, w1=w1, w2=w2))
     return edges
 

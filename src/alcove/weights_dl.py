@@ -122,6 +122,15 @@ class SerrePresentation:
         if not in_lowest_alcove(self.w1.datum, self.omega):
             raise InvalidPresentationError("omega - eta does not lie in C0")
 
+    @classmethod
+    def _prechecked(cls, w1: ExtAffineElt, omega: WeightVec) -> "SerrePresentation":
+        """The presentation (w1, omega) for a caller that has already tested
+        both invariants: w1 once per table, omega per call."""
+        pres = object.__new__(cls)
+        object.__setattr__(pres, "w1", w1)
+        object.__setattr__(pres, "omega", omega)
+        return pres
+
     @property
     def datum(self) -> RootDatum:
         return self.w1.datum

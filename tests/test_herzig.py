@@ -26,6 +26,7 @@ from alcove.herzig import (
     NotEliminableError,
     TameParam,
     _edge_factors,
+    _rep_maps,
     _wset_table,
     admissible_pair,
     connect,
@@ -143,13 +144,15 @@ class TestImmutableResults:
             coxeter_generators(d2),
             _generator_walls(d2),
             _wset_table(d2),
+            _rep_maps(d2),
             _edge_factors(d2),
+            *_edge_factors(d2),
         ):
             with pytest.raises((TypeError, AttributeError)):
                 seq.pop()
             with pytest.raises((TypeError, AttributeError)):
                 seq[0] = None
-        for rep, by_fin in _wset_table(d2):
+        for rep, by_fin in zip(restricted_reps(d2), _wset_table(d2)):
             with pytest.raises(TypeError):
                 by_fin[rep.fin] = ()
         top = w0_element(d2) * restricted_reps(d2)[1]
@@ -179,6 +182,19 @@ def _reference_wset(tau):
                 continue
             pres = SerrePresentation(rep, y.trans)
             out.setdefault(pres.weight(), pres)
+    return list(out.items())
+
+
+def _reference_wobv(tau):
+    """Every restricted rep inverted and multiplied per tau."""
+    datum = tau.datum
+    out = {}
+    for rep in restricted_reps(datum):
+        omega = (tau.elt * rep.inverse()).trans
+        if not in_lowest_alcove(datum, omega):
+            continue
+        pres = SerrePresentation(rep, omega)
+        out.setdefault(pres.weight(), pres)
     return list(out.items())
 
 
@@ -225,6 +241,7 @@ class TestPerDatumTables:
         datum = RootDatum(*nfp)
         for tau in _deep_tau_samples(datum, count, datum.h_eta, random.Random(23)):
             assert list(wset_with_presentations(tau).items()) == _reference_wset(tau)
+            assert list(wobv_with_presentations(tau).items()) == _reference_wobv(tau)
             assert [e.to_json() for e in enumerate_edges(tau)] == _reference_edges(tau)
 
     def test_warm_datum_needs_no_interval_or_diamond(self, d3, monkeypatch):
@@ -241,19 +258,40 @@ class TestPerDatumTables:
         assert connectivity_graph(fresh).is_connected()
 
     def test_warm_datum_edges_need_no_outer_presentation(self, d3, monkeypatch):
-        # the per-tau edge loop reads each outer weight off its table row
+        # per tau, wset, wobv and the edges read every weight off a table map
         first, fresh = _deep_tau_samples(d3, 2, 2 * d3.h_eta, random.Random(31))
         expected = [e.to_json() for e in enumerate_edges(first)]
-        wset(fresh)
+        herzig._wset_with_presentations.cache_clear()
+        herzig._wobv_with_presentations.cache_clear()
 
         def refuse(*args, **kwargs):
             raise AssertionError("per-tau call into the outer presentation path")
 
-        for name in ("_outer_weight", "_outer_lifts", "p_dot"):
+        for name in ("_outer_weight", "_outer_lifts"):
             monkeypatch.setattr(herzig, name, refuse)
-        monkeypatch.setattr(weights_dl, "p_dot", refuse)
+        for name in ("p_dot", "pi_elt_inv", "is_restricted_elt"):
+            monkeypatch.setattr(herzig, name, refuse)
+            monkeypatch.setattr(weights_dl, name, refuse)
         assert [e.to_json() for e in enumerate_edges(first)] == expected
+        assert len(wset(fresh)) == 9
+        assert len(wobv(fresh)) == 6
         assert len(enumerate_edges(fresh)) > 0
+
+    def test_edges_weigh_each_distinct_lift_map_once(self, d3, monkeypatch):
+        first, fresh = _deep_tau_samples(d3, 2, 2 * d3.h_eta, random.Random(37))
+        enumerate_edges(first)
+        wset(fresh)
+        lifts, _, rows = _edge_factors(d3)
+        from_weight = SerreWeight.from_weight
+        calls = []
+
+        def counting(datum, lam):
+            calls.append(lam)
+            return from_weight(datum, lam)
+
+        monkeypatch.setattr(SerreWeight, "from_weight", staticmethod(counting))
+        assert len(enumerate_edges(fresh)) > 0
+        assert 0 < len(calls) <= len(lifts) < 2 * len(rows)
 
 
 class TestWobv:
