@@ -190,8 +190,28 @@ class TestEliminateCommand:
         )
         assert code == EXIT_REFUSED
         payload = json.loads(out)
+        jsonschema.validate(payload, load_schema("certificate.schema.json"))
         assert payload["eliminable"] is False
         assert payload["membership_witness"] is not None
+
+    def test_schema_accepts_exactly_two_shapes(self):
+        schema = load_schema("certificate.schema.json")
+        _, out, _ = run_cli(
+            "eliminate", "--n", "2", "--f", "1", "--p", "7",
+            "--s", "21", "--mu", "5,1", "--sigma", "2,0",
+        )
+        cert = json.loads(out)
+        refusal = {"eliminable": False, "reason": "member", "membership_witness": None}
+        jsonschema.validate(refusal, schema)
+        for bad in (
+            {**cert, "eliminable": False},
+            {**cert, "reason": "member"},
+            {**refusal, "eliminable": True},
+            {**refusal, "sigma": cert["sigma"]},
+            {"eliminable": False, "reason": "member"},
+        ):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(bad, schema)
 
     def test_malformed_sigma_refused(self):
         code, _, err = run_cli(
@@ -286,9 +306,8 @@ class TestFuzz:
         if not out or "--format=dot" in argv:
             return
         payload = json.loads(out)
-        if code == EXIT_OK:
-            jsonschema.validate(payload, load_schema(SCHEMAS[argv[0]]))
-        else:
+        jsonschema.validate(payload, load_schema(SCHEMAS[argv[0]]))
+        if code != EXIT_OK:
             # the one refusal with a stdout payload: sigma is a member
             assert argv[0] == "eliminate" and payload["eliminable"] is False
             assert payload["membership_witness"] is not None
