@@ -427,8 +427,8 @@ def enumerate_edges(tau: TameParam) -> list[ConnectionEdge]:
     members = wset(tau)
     mu, s = tau.elt.trans, tau.elt.fin
     lifts, translations, rows = _edge_factors(datum)
-    # each translation and lift map is evaluated once, by the first row
-    # that needs it, so refusals and skips fall on the same row as per-row work
+    # each translation and lift map is evaluated once, at the first row that
+    # needs it, so a refusal is raised at the first row that meets it
     deep: dict[int, WeightVec | None] = {}
     weights: dict[int, SerreWeight] = {}
 

@@ -112,7 +112,8 @@ WOBV_ONLY = (4, 2, 41)
 
 def seeded_taus(nfp: tuple[int, int, int], count: int) -> list[TameParam]:
     """count distinct tame parameters 2 h_eta-deep over the lowest alcove,
-    drawn from a generator seeded by the configuration alone."""
+    drawn from a generator seeded by the configuration alone.  The oracle's
+    samplers are not used, so that changing them moves no golden."""
     datum = RootDatum(*nfp)
     depth = 2 * datum.h_eta
     rng = random.Random(repr(nfp))
