@@ -25,11 +25,13 @@ from alcove.cli import main
 from alcove.herzig import (
     TameParam,
     connectivity_graph,
+    eliminate,
     enumerate_edges,
     wobv_with_presentations,
     wset_with_presentations,
 )
 from alcove.root_data import FiniteWeylElt, RootDatum, all_weyl_elements
+from alcove.weights_dl import SerreWeight, d_sigma, jh_outer, jh_set, presentations_of
 
 GOLDEN = Path(__file__).with_name("cli.json")
 QUERIES = Path(__file__).with_name("queries.json")
@@ -96,7 +98,7 @@ def run(argv: list[str]) -> dict:
     }
 
 
-# (n, f, p) -> number of seeded tau; all five query kinds run on each
+# (n, f, p) -> number of seeded tau; every query kind but eliminate runs on each
 QUERY_CONFIGS: dict[tuple[int, int, int], int] = {
     (2, 1, 7): 3,
     (3, 1, 37): 3,
@@ -105,6 +107,9 @@ QUERY_CONFIGS: dict[tuple[int, int, int], int] = {
     (4, 1, 41): 2,
     (2, 3, 7): 2,
 }
+# eliminate runs on ELIMINATED_PER_TAU seeded sigma per seeded tau here
+ELIMINATE_CONFIGS = ((2, 1, 7), (3, 1, 37), (2, 2, 13))
+ELIMINATED_PER_TAU = 3
 # wobv answers at (4,2,41), where the Bruhat intervals behind wset and the
 # graph exceed their budget
 WOBV_ONLY = (4, 2, 41)
@@ -134,6 +139,27 @@ def seeded_taus(nfp: tuple[int, int, int], count: int) -> list[TameParam]:
     return out
 
 
+def seeded_eliminable(tau: TameParam, count: int) -> list[SerreWeight]:
+    """count distinct p-restricted weights, d_sigma-deep and outside the
+    predicted set of tau, drawn from a generator seeded by tau alone."""
+    datum = tau.datum
+    rng = random.Random(repr(tau.to_json()))
+    members = wset_with_presentations(tau)
+    out = []
+    while len(out) < count:
+        rows = []
+        for _ in range(datum.f):
+            row = [rng.randrange(datum.p)]
+            for _ in range(datum.n - 1):
+                row.insert(0, row[0] + rng.randrange(datum.p))
+            rows.append(row)
+        sigma = SerreWeight.from_weight(datum, datum.weight(rows))
+        if sigma.is_p_regular() and sigma.depth >= d_sigma(sigma):
+            if sigma not in members and sigma not in out:
+                out.append(sigma)
+    return out
+
+
 def _digest(values) -> str:
     text = "\n".join(json.dumps(v, sort_keys=True, separators=(",", ":")) for v in values)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -153,13 +179,32 @@ def query_digests(nfp: tuple[int, int, int]) -> dict[str, str]:
         return {"wobv_with_presentations": _digest([_presented(wobv_with_presentations(tau))])}
     taus = seeded_taus(nfp, QUERY_CONFIGS[nfp])
     graphs = [connectivity_graph(tau) for tau in taus]
-    return {
+    digests = {
         "wset_with_presentations": _digest(_presented(wset_with_presentations(t)) for t in taus),
         "wobv_with_presentations": _digest(_presented(wobv_with_presentations(t)) for t in taus),
         "enumerate_edges": _digest([e.to_json() for e in enumerate_edges(t)] for t in taus),
         "graph_json": _digest(g.to_json() for g in graphs),
         "graph_dot": _digest(g.to_dot() for g in graphs),
+        "jh_set": _digest(
+            [s.to_json() for s in sorted(jh_set(t.as_dl()), key=SerreWeight.sort_key)]
+            for t in taus
+        ),
+        "jh_outer": _digest(
+            [[w.to_json(), s.to_json()] for w, s in jh_outer(t.as_dl())] for t in taus
+        ),
+        "presentations_of": _digest(
+            [p.to_json() for p in presentations_of(s)]
+            for t in taus
+            for s in wset_with_presentations(t)
+        ),
     }
+    if nfp in ELIMINATE_CONFIGS:
+        digests["eliminate"] = _digest(
+            eliminate(s, t).to_json()
+            for t in taus
+            for s in seeded_eliminable(t, ELIMINATED_PER_TAU)
+        )
+    return digests
 
 
 def config_name(nfp: tuple[int, int, int]) -> str:
