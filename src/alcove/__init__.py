@@ -83,7 +83,6 @@ from .weights_dl import (
     jh_set_by_reflection,
     max_genericity,
     presentations_of,
-    serre_weight,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -90,8 +90,6 @@ def _dump(payload: dict) -> str:
 
 def cmd_wset(args) -> int:
     datum = _datum(args)
-    if args.format == "dot":
-        raise ValidationError("the weight set is a set, not a graph; use json")
     tau = _tame_param(args, datum)
     members = wset_with_presentations(tau)
     obvious = wobv_with_presentations(tau)
@@ -198,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wset = sub.add_parser("wset", help="predicted weight set of a tame parameter")
     common(p_wset, tame=True)
-    p_wset.add_argument("--format", choices=["json", "dot"], default="json")
     p_wset.set_defaults(func=cmd_wset)
 
     p_graph = sub.add_parser("graph", help="weight-connectivity graph")

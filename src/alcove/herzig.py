@@ -26,7 +26,6 @@ from .affine_weyl import (
     is_dominant_elt,
     is_restricted_elt,
     p_dot,
-    pi_elt_inv,
     restricted_reps,
     simple_reflection,
     up_leq,
@@ -51,7 +50,10 @@ from .weights_dl import (
     SerrePresentation,
     SerreWeight,
     _outer_member,
+    _outer_weight,
+    _rep_maps,
     _require_depth,
+    _weight_map,
     c0_presentations,
     d_sigma,
     jh_outer,
@@ -107,35 +109,14 @@ def _wset_with_presentations(
     datum = tau.datum
     mu, s = tau.elt.trans, tau.elt.fin
     out: dict[SerreWeight, SerrePresentation] = {}
-    for (rep, k, v, _), by_fin in zip(_rep_maps(datum), _wset_table(datum)):
+    table = _wset_table(datum)  # first: over budget it refuses before any rep is built
+    for (rep, k, v, _), by_fin in zip(_rep_maps(datum), table):
         # x = t_nu s, so t_mu s x^{-1} = t_{mu - nu}
         for nu in by_fin.get(s, ()):
             omega = mu - nu
             if in_lowest_alcove(datum, omega):
                 _keep_first_witness(out, rep, k, v, omega)
     return MappingProxyType(out)
-
-
-def _weight_map(elt: ExtAffineElt) -> tuple[WeightVec, FiniteWeylElt]:
-    """(p nu - eta, v) for a restricted elt with pi^{-1}(elt) = t_nu v: the
-    weight of the presentation (elt, omega) is p nu - eta + v(omega)."""
-    if not is_restricted_elt(elt):
-        raise InvalidPresentationError("presentation element is not restricted")
-    datum = elt.datum
-    pinv = pi_elt_inv(elt)
-    return pinv.trans.scale(datum.p) - datum.eta(), pinv.fin
-
-
-@functools.cache
-def _rep_maps(
-    datum: RootDatum,
-) -> tuple[tuple[ExtAffineElt, WeightVec, FiniteWeylElt, WeightVec], ...]:
-    """Per restricted rep, in order, (rep, k, v, rep^{-1}(0)) with (k, v) its
-    :func:`_weight_map`: t_mu s rep^{-1} has translation part
-    mu + s(rep^{-1}(0))."""
-    return tuple(
-        (rep, *_weight_map(rep), rep.inverse().trans) for rep in restricted_reps(datum)
-    )
 
 
 def _keep_first_witness(
@@ -157,7 +138,9 @@ def _wset_table(datum: RootDatum) -> tuple[MappingProxyType, ...]:
     """Per restricted rep, in the order of :func:`_rep_maps`, the translation
     parts of the interval below w0 rep grouped by finite part, each group in
     interval order: t_mu s x^{-1} is a translation only when x has the finite
-    part s."""
+    part s.  The first rep is the identity, so the budget of the first
+    interval, the one below w0, is tested before the reps are built."""
+    bruhat_interval(w0_element(datum))
     table = []
     for rep in restricted_reps(datum):
         by_fin: dict[FiniteWeylElt, list[WeightVec]] = {}
@@ -347,8 +330,10 @@ class ConnectionEdge:
         )
         if (self.R.elt * factor).key() != tau.elt.key():
             return False
-        lifts = _outer_lifts(self.alpha, self.w2)
-        pair = tuple(_outer_weight(self.R, lift) for lift in lifts)
+        pair = tuple(
+            _outer_weight(self.R, x, *_weight_map(x))
+            for x, _ in _outer_lifts(self.alpha, self.w2)
+        )
         return pair == (self.sigma, self.sigma2)
 
     def to_json(self) -> dict:
@@ -365,21 +350,13 @@ class ConnectionEdge:
 def _outer_lifts(
     alpha: Root, w2: ExtAffineElt
 ) -> tuple[tuple[ExtAffineElt, WeightVec], ...]:
-    """The tau-independent halves (wh^{-1} lift, lift^{-1}(0)) of the outer
-    factors corresponding to w0 w2 and w0 s_alpha w2, from the restricted
-    lifts w2 and (s_alpha w2)^diamond."""
+    """The tau-independent halves (x, (wh x)^{-1}(0)), with x = wh^{-1} lift,
+    of the :func:`_outer_weight` of the outer factors corresponding to w0 w2
+    and w0 s_alpha w2, from the restricted lifts w2 and (s_alpha w2)^diamond."""
     datum = w2.datum
     wh_inv = wh_element(datum).inverse()
     lifts = (w2, diamond(simple_reflection(datum, alpha) * w2))
     return tuple((wh_inv * lift, lift.inverse().trans) for lift in lifts)
-
-
-def _outer_weight(
-    R: DLPresentation, lift: tuple[ExtAffineElt, WeightVec]
-) -> SerreWeight:
-    """The outer factor of R given by one half from :func:`_outer_lifts`."""
-    elt, back = lift
-    return SerrePresentation(elt, R.elt.act_weight(back)).weight()
 
 
 @functools.cache
@@ -388,9 +365,9 @@ def _edge_factors(datum: RootDatum) -> tuple[tuple, tuple, tuple]:
     per simple root alpha, restricted w2 and dominant w1 below wh^{-1} w2 in
     the raising order, in enumeration order.  F = (w2^{-1} s_alpha w0 w1)^{-1}
     has finite part fin and translation part translations[t].  lifts[a] and
-    lifts[b] are the maps (F(back), k, v) of the two outer lifts (elt, back)
-    from :func:`_outer_lifts`, with (k, v) the :func:`_weight_map` of elt:
-    for tau = t_mu s and R = tau F the lift's outer weight is
+    lifts[b] are the maps (F(back), k, v) of the two outer lifts (x, back)
+    from :func:`_outer_lifts`, with (k, v) the :func:`_weight_map` of x: for
+    tau = t_mu s and R = tau F the lift's :func:`_outer_weight` is
     k + v(mu + s(F(back))).  Equal maps and translations are stored once."""
     w0 = w0_element(datum)
     wh_inv = wh_element(datum).inverse()
@@ -403,7 +380,7 @@ def _edge_factors(datum: RootDatum) -> tuple[tuple, tuple, tuple]:
             bound = wh_inv * w2
             if not is_dominant_elt(bound):
                 raise AssertionError("wh^{-1} w2 left the dominant region")
-            maps = [(back, *_weight_map(elt)) for elt, back in _outer_lifts(alpha, w2)]
+            maps = [(back, *_weight_map(x)) for x, back in _outer_lifts(alpha, w2)]
             for w1 in bruhat_interval(bound):
                 if not is_dominant_elt(w1):
                     continue

@@ -30,7 +30,6 @@ from .affine_weyl import (
     bruhat_interval,
     is_dominant_elt,
     is_restricted_elt,
-    p_dot,
     pi_elt_inv,
     restricted_reps,
     w0_element,
@@ -140,16 +139,32 @@ class SerrePresentation:
         return depth_of(self.datum, self.omega - self.datum.eta())
 
     def weight(self) -> SerreWeight:
-        datum = self.datum
-        lam = p_dot(pi_elt_inv(self.w1), self.omega - datum.eta())
-        return SerreWeight.from_weight(datum, lam)
+        k, v = _weight_map(self.w1)
+        return SerreWeight.from_weight(self.datum, k + v.act(self.omega))
 
     def to_json(self) -> dict:
         return {"w": self.w1.to_json(), "omega": self.omega.to_json()}
 
 
-def serre_weight(pres: SerrePresentation) -> SerreWeight:
-    return pres.weight()
+def _weight_map(w1: ExtAffineElt) -> tuple[WeightVec, FiniteWeylElt]:
+    """(k, v) = (p nu - eta, v) for a restricted w1 with pi^{-1}(w1) = t_nu v:
+    the presentation (w1, omega) names F(k + v(omega)), the p-dot value of
+    pi^{-1}(w1) at omega - eta."""
+    if not is_restricted_elt(w1):
+        raise InvalidPresentationError("presentation element is not restricted")
+    datum = w1.datum
+    pinv = pi_elt_inv(w1)
+    return pinv.trans.scale(datum.p) - datum.eta(), pinv.fin
+
+
+@functools.cache
+def _rep_maps(datum: RootDatum) -> tuple[tuple, ...]:
+    """Per restricted rep, in order, (rep, k, v, rep^{-1}(0)) with (k, v) its
+    :func:`_weight_map`: t_mu s rep^{-1} has translation part
+    mu + s(rep^{-1}(0))."""
+    return tuple(
+        (rep, *_weight_map(rep), rep.inverse().trans) for rep in restricted_reps(datum)
+    )
 
 
 def _canonical_omega(datum: RootDatum, omega: WeightVec) -> WeightVec:
@@ -170,18 +185,15 @@ def presentations_of(sigma: SerreWeight) -> list[SerrePresentation]:
     element ranges over the restricted representatives modulo X^0, omega is
     normalized modulo (p - pi) X^0).  Empty exactly when sigma is not 0-deep."""
     datum = sigma.datum
-    eta = datum.eta()
     out = []
-    for rep in restricted_reps(datum):
-        pinv = pi_elt_inv(rep)
-        target = sigma.lam + eta - pinv.trans.scale(datum.p)
-        omega = pinv.fin.inverse().act(target)
+    for rep, k, v, _ in _rep_maps(datum):
+        omega = v.inverse().act(sigma.lam - k)
         if not in_lowest_alcove(datum, omega):
             continue
-        pres = SerrePresentation(rep, _canonical_omega(datum, omega))
-        if pres.weight() != sigma:
+        omega = _canonical_omega(datum, omega)
+        if SerreWeight.from_weight(datum, k + v.act(omega)) != sigma:
             raise AssertionError("presentation solve failed to round-trip")
-        out.append(pres)
+        out.append(SerrePresentation._prechecked(rep, omega))
     return out
 
 
@@ -450,7 +462,7 @@ def _jh_set(R: DLPresentation) -> frozenset[SerreWeight]:
     admissible = adm_eta(datum)
     base_inv = R.elt.inverse()
     out = set()
-    for rep in restricted_reps(datum):
+    for rep, k, v, _ in _rep_maps(datum):
         top = w0_element(datum) * rep
         top_inv = top.inverse()
         # t_omega top = t_mu s a for a in Adm(eta) with t_omega a translation
@@ -464,7 +476,7 @@ def _jh_set(R: DLPresentation) -> frozenset[SerreWeight]:
                 continue
             shift = base_inv * ExtAffineElt.from_translation(datum, omega)
             if all(shift * x in admissible for x in interval):
-                out.add(SerrePresentation(rep, omega).weight())
+                out.add(SerreWeight.from_weight(datum, k + v.act(omega)))
     return frozenset(out)
 
 
@@ -475,7 +487,7 @@ def jh_set_by_reflection(R: DLPresentation) -> frozenset[SerreWeight]:
     datum = R.datum
     _require_depth(R, datum.h_eta, "jh_set")
     out = set()
-    for rep in restricted_reps(datum):
+    for rep, k, v, _ in _rep_maps(datum):
         bound = wh_element(datum) * rep
         if not is_dominant_elt(bound):
             raise AssertionError("wh . w left the dominant region")
@@ -485,7 +497,7 @@ def jh_set_by_reflection(R: DLPresentation) -> frozenset[SerreWeight]:
             omega = (R.elt * u.inverse()).trans
             if not in_lowest_alcove(datum, omega):
                 continue
-            out.add(SerrePresentation(rep, omega).weight())
+            out.add(SerreWeight.from_weight(datum, k + v.act(omega)))
     return frozenset(out)
 
 
@@ -494,13 +506,22 @@ def jh_outer(R: DLPresentation) -> list[tuple[FiniteWeylElt, SerreWeight]]:
     presentation (w^diamond, t_mu s (wh w^diamond)^{-1}(0)), each listed once."""
     datum = R.datum
     _require_depth(R, datum.h_eta, "jh_outer")
-    wh = wh_element(datum)
-    out = []
-    for w, wd in zip(all_weyl_elements(datum), restricted_reps(datum)):
-        at_zero = (wh * wd).inverse().trans
-        omega = R.elt.act_weight(at_zero)
-        out.append((w, SerrePresentation(wd, omega).weight()))
-    return out
+    return [
+        (w, _outer_weight(R, rep, k, v))
+        for w, (rep, k, v, _) in zip(all_weyl_elements(datum), _rep_maps(datum))
+    ]
+
+
+def _outer_weight(
+    R: DLPresentation, x: ExtAffineElt, k: WeightVec, v: FiniteWeylElt
+) -> SerreWeight:
+    """The outer factor of R named by a restricted x with :func:`_weight_map`
+    (k, v): the weight of the presentation (x, R((wh x)^{-1}(0)))."""
+    datum = R.datum
+    omega = R.elt.act_weight((wh_element(datum) * x).inverse().trans)
+    if not in_lowest_alcove(datum, omega):
+        raise InvalidPresentationError("omega - eta does not lie in C0")
+    return SerreWeight.from_weight(datum, k + v.act(omega))
 
 
 def _outer_member(pres: SerrePresentation, u: FiniteWeylElt) -> DLPresentation:

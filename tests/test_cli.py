@@ -52,9 +52,12 @@ class TestWsetCommand:
         assert "C0 empty" in err
 
     def test_dot_format_refused(self):
-        code, _, err = run_cli(*WSET_ARGS, "--format", "dot")
-        assert code == EXIT_REFUSED
-        assert "refusal" in err
+        # wset has no --format (JSON is its only output), so argparse refuses it
+        err = io.StringIO()
+        with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+            main([*WSET_ARGS, "--format", "dot"])
+        assert exc.value.code == EXIT_REFUSED
+        assert "unrecognized arguments: --format dot" in err.getvalue()
 
     def test_shallow_parameter_refused(self):
         code, _, err = run_cli(

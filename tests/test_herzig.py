@@ -26,7 +26,6 @@ from alcove.herzig import (
     NotEliminableError,
     TameParam,
     _edge_factors,
-    _rep_maps,
     _wset_table,
     admissible_pair,
     connect,
@@ -44,6 +43,7 @@ from alcove.herzig import (
 )
 from alcove.oracle import _deep_tau_samples
 from alcove.root_data import (
+    BudgetError,
     DepthError,
     FiniteWeylElt,
     RootDatum,
@@ -57,6 +57,7 @@ from alcove.weights_dl import (
     DLPresentation,
     SerrePresentation,
     SerreWeight,
+    _rep_maps,
     c0_presentations,
     d_sigma,
     jh_set,
@@ -122,6 +123,20 @@ class TestWset:
         members = wset(tau)
         assert len(members) == size
         assert wset_by_definition(tau) == members
+
+    @pytest.mark.parametrize("n", [6, 9])
+    def test_interval_budget_refused_before_the_reps_are_built(self, n, monkeypatch):
+        # the interval below w0 has length n(n-1)/2 > 14; building the n!
+        # restricted reps first made n = 9 take tens of seconds to refuse
+        def refuse(*args, **kwargs):
+            raise AssertionError("restricted reps built before the budget test")
+
+        for module in (herzig, weights_dl):
+            monkeypatch.setattr(module, "restricted_reps", refuse)
+        datum = RootDatum(n, 1, 101)
+        tau = tame(datum, [[10 * (n - i) for i in range(n)]], [[*range(2, n + 1), 1]])
+        with pytest.raises(BudgetError):
+            wset(tau)
 
     def test_twist_is_bijective_on_members(self, tau3):
         factors = jh_set(tau3.as_dl())
@@ -267,11 +282,12 @@ class TestPerDatumTables:
         def refuse(*args, **kwargs):
             raise AssertionError("per-tau call into the outer presentation path")
 
-        for name in ("_outer_weight", "_outer_lifts"):
-            monkeypatch.setattr(herzig, name, refuse)
-        for name in ("p_dot", "pi_elt_inv", "is_restricted_elt"):
+        monkeypatch.setattr(herzig, "_outer_lifts", refuse)
+        for name in ("_weight_map", "_outer_weight", "is_restricted_elt"):
             monkeypatch.setattr(herzig, name, refuse)
             monkeypatch.setattr(weights_dl, name, refuse)
+        monkeypatch.setattr(herzig, "p_dot", refuse)
+        monkeypatch.setattr(weights_dl, "pi_elt_inv", refuse)
         assert [e.to_json() for e in enumerate_edges(first)] == expected
         assert len(wset(fresh)) == 9
         assert len(wobv(fresh)) == 6

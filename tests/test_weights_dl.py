@@ -10,10 +10,16 @@ from alcove import weights_dl
 from alcove.affine_weyl import (
     ExtAffineElt,
     omega_generator,
+    p_dot,
     pi_elt_inv,
     restricted_reps,
 )
-from alcove.herzig import TameParam, wobv_with_presentations, wset_with_presentations
+from alcove.herzig import (
+    TameParam,
+    _outer_lifts,
+    wobv_with_presentations,
+    wset_with_presentations,
+)
 from alcove.oracle import _deep_tau_samples, eta_c0_weights
 from alcove.presentation_scan import c0_presentations_by_scan
 from alcove.root_data import (
@@ -45,7 +51,6 @@ from alcove.weights_dl import (
     max_genericity,
     outer_family,
     presentations_of,
-    serre_weight,
 )
 
 
@@ -116,11 +121,11 @@ class TestSerreWeight:
 class TestSerrePresentation:
     def test_trivial_weight(self, d2):
         pres = SerrePresentation(ExtAffineElt.identity(d2), d2.eta())
-        assert serre_weight(pres).lam == d2.weight([[0, 0]])
+        assert pres.weight().lam == d2.weight([[0, 0]])
 
     def test_spec_evaluation(self, d2):
         pres = SerrePresentation(ExtAffineElt.identity(d2), d2.weight([[4, 0]]))
-        assert serre_weight(pres) == SerreWeight.from_weight(d2, d2.weight([[3, 0]]))
+        assert pres.weight() == SerreWeight.from_weight(d2, d2.weight([[3, 0]]))
 
     def test_rejects_non_restricted_element(self, d2):
         t = ExtAffineElt.from_translation(d2, d2.weight([[1, 0]]))
@@ -134,8 +139,6 @@ class TestSerrePresentation:
     def test_omega_reindexing_names_equal_weight(self, d2):
         # the length-zero reindexing (w delta^{-1}, pi^{-1}(delta) . (omega - eta) + eta),
         # with the p-dot action rescaling the reindexed base point
-        from alcove.affine_weyl import p_dot
-
         delta = omega_generator(d2, 0)
         checked = 0
         for rep in restricted_reps(d2):
@@ -149,6 +152,36 @@ class TestSerrePresentation:
         assert checked > 0
 
 
+    @pytest.mark.parametrize("nfp", [(2, 1, 7), (3, 1, 37), (2, 2, 13), (2, 3, 7)])
+    def test_weight_map_is_the_p_dot_value(self, nfp):
+        # every restricted rep and every outer lift of the graph edges, at
+        # seeded omega over C0
+        datum = RootDatum(*nfp)
+        rng = random.Random(repr(nfp))
+        reps = restricted_reps(datum)
+        lifts = [
+            x for a in datum.simple_roots() for w2 in reps for x, _ in _outer_lifts(a, w2)
+        ]
+        for w1 in (*reps, *lifts):
+            k, v = weights_dl._weight_map(w1)
+            for _ in range(3):
+                rows = []
+                for _ in range(datum.f):
+                    gaps = [1] * (datum.n - 1)
+                    for _ in range(rng.randrange(datum.p - datum.n + 1)):
+                        gaps[rng.randrange(datum.n - 1)] += 1
+                    row = [rng.randint(-datum.p, datum.p)]
+                    for gap in gaps:
+                        row.insert(0, row[0] + gap)
+                    rows.append(row)
+                omega = datum.weight(rows)
+                assert in_lowest_alcove(datum, omega)
+                lam = p_dot(pi_elt_inv(w1), omega - datum.eta())
+                assert k + v.act(omega) == lam
+                pres = SerrePresentation(w1, omega)
+                assert pres.weight() == SerreWeight.from_weight(datum, lam)
+
+
 class TestPresentationsOf:
     def test_round_trip(self, d2, d3):
         for datum, rows in [(d2, [[3, 0]]), (d2, [[5, 2]]), (d3, [[20, 10, 0]])]:
@@ -156,7 +189,7 @@ class TestPresentationsOf:
             found = presentations_of(sigma)
             assert found
             for pres in found:
-                assert serre_weight(pres) == sigma
+                assert pres.weight() == sigma
 
     def test_non_deep_weight_has_none(self, d2):
         # lambda + eta on a wall: pairing 0 mod p
