@@ -350,9 +350,9 @@ class ConnectionEdge:
 def _outer_lifts(
     alpha: Root, w2: ExtAffineElt
 ) -> tuple[tuple[ExtAffineElt, WeightVec], ...]:
-    """The tau-independent halves (x, (wh x)^{-1}(0)), with x = wh^{-1} lift,
-    of the :func:`_outer_weight` of the outer factors corresponding to w0 w2
-    and w0 s_alpha w2, from the restricted lifts w2 and (s_alpha w2)^diamond."""
+    """(x, (wh x)^{-1}(0)) with x = wh^{-1} lift for the restricted lifts w2
+    and (s_alpha w2)^diamond: the tau-independent halves of the outer factors
+    (:func:`_outer_weight`) corresponding to w0 w2 and w0 s_alpha w2."""
     datum = w2.datum
     wh_inv = wh_element(datum).inverse()
     lifts = (w2, diamond(simple_reflection(datum, alpha) * w2))

@@ -151,7 +151,6 @@ class TestSerrePresentation:
                 checked += 1
         assert checked > 0
 
-
     @pytest.mark.parametrize("nfp", [(2, 1, 7), (3, 1, 37), (2, 2, 13), (2, 3, 7)])
     def test_weight_map_is_the_p_dot_value(self, nfp):
         # every restricted rep and every outer lift of the graph edges, at
@@ -160,7 +159,10 @@ class TestSerrePresentation:
         rng = random.Random(repr(nfp))
         reps = restricted_reps(datum)
         lifts = [
-            x for a in datum.simple_roots() for w2 in reps for x, _ in _outer_lifts(a, w2)
+            x
+            for alpha in datum.simple_roots()
+            for w2 in reps
+            for x, _ in _outer_lifts(alpha, w2)
         ]
         for w1 in (*reps, *lifts):
             k, v = weights_dl._weight_map(w1)
