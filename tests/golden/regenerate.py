@@ -1,7 +1,8 @@
 """Rewrite the two golden files:
 
 - ``cli.json``: the exit code and the sha256 of stdout and of stderr of each
-  CLI command below, run in one process through ``alcove.cli.main``;
+  CLI command below, run in one process through ``alcove.cli.main``, help
+  and argparse refusals included;
 - ``queries.json``: one sha256 per (configuration, query kind) of the
   seeded library queries below, so that a mismatch names the group that
   moved.
@@ -16,14 +17,23 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
-from alcove.affine_weyl import ExtAffineElt
+from alcove.affine_weyl import (
+    ExtAffineElt,
+    affine_reflection,
+    bruhat_leq,
+    reduced_word,
+    up_leq,
+)
 from alcove.cli import main
 from alcove.herzig import (
     TameParam,
+    admissible_pair,
     connectivity_graph,
     eliminate,
     enumerate_edges,
@@ -31,7 +41,15 @@ from alcove.herzig import (
     wset_with_presentations,
 )
 from alcove.root_data import FiniteWeylElt, RootDatum, all_weyl_elements
-from alcove.weights_dl import SerreWeight, d_sigma, jh_outer, jh_set, presentations_of
+from alcove.weights_dl import (
+    DLPresentation,
+    SerreWeight,
+    d_sigma,
+    jh_outer,
+    jh_set,
+    max_genericity,
+    presentations_of,
+)
 
 GOLDEN = Path(__file__).with_name("cli.json")
 QUERIES = Path(__file__).with_name("queries.json")
@@ -82,14 +100,23 @@ COMMANDS: list[list[str]] = [
      "--sweep", "subregular"],
     ["wset", "--n", "2", "--f", "1", "--p", "10000004400000259", "--s", "12",
      "--mu", "1,0"],
+    ["--help"],
+    ["verify", "--help"],
+    ["verify", "--n", "2", "--p", "13", "--sweep", "nosuch"],
 ]
 
 
 def run(argv: list[str]) -> dict:
-    """Exit code and output digests of one in-process CLI run."""
+    """Exit code and output digests of one in-process CLI run.  Help and
+    argparse refusals end in SystemExit, whose code is the exit code; argparse
+    wraps help to the terminal width, so that width is pinned."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(list(argv))
+    width = mock.patch.dict(os.environ, COLUMNS="80")
+    with redirect_stdout(out), redirect_stderr(err), width:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return {
         "argv": list(argv),
         "exit": code,
@@ -110,6 +137,10 @@ QUERY_CONFIGS: dict[tuple[int, int, int], int] = {
 # eliminate runs on ELIMINATED_PER_TAU seeded sigma per seeded tau here
 ELIMINATE_CONFIGS = ((2, 1, 7), (3, 1, 37), (2, 2, 13))
 ELIMINATED_PER_TAU = 3
+# the order queries run on PAIRS_PER_CONFIG seeded pairs per configuration
+PAIRS_PER_CONFIG = 12
+# admissible_pair runs on MATCHED_PER_TAU parameters t_{w(eta)} tau per tau
+MATCHED_PER_TAU = 2
 # wobv answers at (4,2,41), where the Bruhat intervals behind wset and the
 # graph exceed their budget
 WOBV_ONLY = (4, 2, 41)
@@ -160,6 +191,51 @@ def seeded_eliminable(tau: TameParam, count: int) -> list[SerreWeight]:
     return out
 
 
+def seeded_pairs(nfp: tuple[int, int, int], count: int) -> list[tuple[ExtAffineElt, ExtAffineElt]]:
+    """count pairs (u, w) of equal Omega degree, drawn from a generator seeded
+    by the configuration alone.  w has translation entries in [-r, r].  In
+    even slots u is w times an affine reflection on a random side, so the two
+    are comparable in the Bruhat order; in odd slots u is drawn like w and
+    moved into its degree.  r is 1 at n = 4, where up_leq on independent
+    pairs of radius 3 can take seconds."""
+    datum = RootDatum(*nfp)
+    radius = 1 if datum.n >= 4 else 2
+    rng = random.Random(repr(("pairs", nfp)))
+    weyl = all_weyl_elements(datum)
+    roots = datum.positive_roots()
+
+    def draw(degrees) -> ExtAffineElt:
+        rows = [[rng.randint(-radius, radius) for _ in range(datum.n)] for _ in range(datum.f)]
+        if degrees is not None:
+            for row, deg in zip(rows, degrees):
+                row[-1] += deg - sum(row)
+        return ExtAffineElt(datum, datum.weight(rows), rng.choice(weyl))
+
+    out = []
+    for slot in range(count):
+        w = draw(None)
+        if slot % 2:
+            u = draw(w.omega_degrees())
+        else:
+            r = affine_reflection(datum, rng.choice(roots), rng.randint(-radius, radius))
+            u = r * w if rng.random() < 0.5 else w * r
+        out.append((u, w))
+    return out
+
+
+def matched_params(tau: TameParam, count: int) -> list[TameParam]:
+    """The first count of the parameters t_{w(eta)} tau, over w in
+    all_weyl_elements order, that are (n-1)-deep: admissible_pair holds for
+    each against tau."""
+    datum = tau.datum
+    out = []
+    for w in all_weyl_elements(datum):
+        rho = TameParam(ExtAffineElt.from_translation(datum, w.act(datum.eta())) * tau.elt)
+        if (rho.lowest_alcove_depth() or -1) >= datum.n - 1:
+            out.append(rho)
+    return out[:count]
+
+
 def _digest(values) -> str:
     text = "\n".join(json.dumps(v, sort_keys=True, separators=(",", ":")) for v in values)
     return hashlib.sha256(text.encode()).hexdigest()
@@ -198,6 +274,22 @@ def query_digests(nfp: tuple[int, int, int]) -> dict[str, str]:
             for s in wset_with_presentations(t)
         ),
     }
+    pairs = seeded_pairs(nfp, PAIRS_PER_CONFIG)
+    digests["reduced_word"] = _digest(
+        reduced_word(x) for x in [t.elt for t in taus] + [x for pair in pairs for x in pair]
+    )
+    digests["bruhat_leq"] = _digest([bruhat_leq(u, w), bruhat_leq(w, u)] for u, w in pairs)
+    digests["up_leq"] = _digest([up_leq(u, w), up_leq(w, u)] for u, w in pairs)
+    digests["max_genericity"] = _digest(
+        max_genericity(R) for R in [t.as_dl() for t in taus] + [DLPresentation(w) for _, w in pairs]
+    )
+    # matched parameters give true verdicts; the other seeded tau, as rho,
+    # give false ones at these seeds
+    digests["admissible_pair"] = _digest(
+        admissible_pair(rho, tau)
+        for tau in taus
+        for rho in matched_params(tau, MATCHED_PER_TAU) + [t for t in taus if t != tau]
+    )
     if nfp in ELIMINATE_CONFIGS:
         digests["eliminate"] = _digest(
             eliminate(s, t).to_json()
