@@ -4,8 +4,11 @@ Public surface: the root datum layer (weights, roots, depth), the extended
 affine Weyl group (lengths, reduced words, Bruhat and raising orders,
 admissible sets), Serre weight and Deligne-Lusztig presentation calculus
 (Jordan-Holder sets, outer factors, covering), predicted weight sets with
-elimination certificates and the weight-connectivity graph, and brute-force
-oracles that certify the optimized paths.
+elimination certificates and the weight-connectivity graph.
+
+The brute-force oracles that certify these paths, and the lemma sweeps built
+on them, are not part of this namespace: import :mod:`alcove.oracle`.
+Importing ``alcove`` does not load it.
 """
 
 from .affine_weyl import (
@@ -44,15 +47,6 @@ from .herzig import (
     wobv,
     wset,
     wset_by_definition,
-)
-from .oracle import (
-    MUTATIONS,
-    SweepConfig,
-    SweepReport,
-    brute_bruhat,
-    brute_up,
-    hyperplane_count_length,
-    lemma_sweeps,
 )
 from .root_data import (
     AlcoveError,

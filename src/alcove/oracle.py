@@ -26,11 +26,8 @@ from . import affine_weyl as aw
 from . import herzig as hz
 from . import weights_dl as wd
 from .affine_weyl import ExtAffineElt
-# c0_presentations_by_scan is imported for callers: the oracle's reference
-# for the fast presentation solve
 from .presentation_scan import (
     SCAN_BUDGET,
-    c0_presentations_by_scan,
     compare_with_scan,
     eta_c0_weights,
     scan_size,

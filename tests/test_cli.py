@@ -10,11 +10,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from alcove import oracle
 from alcove.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_REFUSED,
     EXIT_VERIFY_FAILED,
+    MUTATION_NAMES,
+    SWEEP_NAMES,
     main,
 )
 
@@ -239,6 +242,11 @@ class TestArgumentParsing:
         with pytest.raises(SystemExit) as exc:
             run_cli(*argv)
         assert exc.value.code == EXIT_REFUSED
+
+    def test_verify_choices_match_the_oracle(self):
+        # the parser spells the names out so that it need not load the oracle
+        assert SWEEP_NAMES == oracle.SWEEP_NAMES
+        assert MUTATION_NAMES == tuple(sorted(oracle.MUTATIONS))
 
 
 # ---------------------------------------------------------------------------

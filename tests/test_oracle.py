@@ -3,7 +3,10 @@ from __future__ import annotations
 import ast
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -240,3 +243,19 @@ def test_fast_layer_does_not_import_fractions(module):
     # the fast layer locates alcoves by integer points; rational sample
     # points belong to the oracle
     assert "fractions" not in imported_names(module)
+
+
+@pytest.mark.parametrize("module", ["alcove", "alcove.cli"])
+def test_answer_path_does_not_load_the_oracle(module):
+    # cli imports the oracle inside cmd_verify, which the AST check above
+    # would count, so a fresh process reports what the import really loads
+    src = str(Path(alcove.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = f"import json, sys, {module}; print(json.dumps(sorted(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    loaded = set(json.loads(result.stdout))
+    assert module in loaded
+    assert not loaded & {"alcove.oracle", "alcove.presentation_scan"}
