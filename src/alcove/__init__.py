@@ -13,9 +13,7 @@ Importing ``alcove`` does not load it.
 
 from .affine_weyl import (
     ExtAffineElt,
-    Gallery,
     OmegaDecomp,
-    adm_contains,
     adm_eta,
     bruhat_interval,
     bruhat_leq,
@@ -23,7 +21,6 @@ from .affine_weyl import (
     is_dominant_elt,
     is_restricted_elt,
     length,
-    minimal_gallery,
     omega_decompose,
     p_dot,
     reduced_word,
@@ -38,12 +35,10 @@ from .herzig import (
     NotEliminableError,
     TameParam,
     admissible_pair,
-    connect,
     connectivity_graph,
     eliminate,
     equivalence_report,
     herzig_twist,
-    is_extremal,
     wobv,
     wset,
     wset_by_definition,
@@ -57,11 +52,9 @@ from .root_data import (
     RootDatum,
     ValidationError,
     WeightVec,
-    alcove_of,
     depth_of,
     frobenius_pi,
     h_value,
-    is_m_deep,
     pairing,
 )
 from .weights_dl import (

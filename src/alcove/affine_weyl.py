@@ -224,46 +224,8 @@ def reduced_word(w: ExtAffineElt) -> list[str]:
     return labels
 
 
-def replay_word(datum: RootDatum, labels: list[str]) -> ExtAffineElt:
-    """Multiply a labelled word back into an element (inverse of reduced_word)."""
-    by_label = dict(coxeter_generators(datum))
-    out = ExtAffineElt.identity(datum)
-    for lab in labels:
-        if lab.startswith("omega^"):
-            power, j = lab[len("omega^"):].split("@")
-            degrees = [0] * datum.f
-            degrees[int(j)] = int(power)
-            out = out * omega_element(datum, degrees)
-        else:
-            out = out * by_label[lab]
-    return out
-
-
 # ---------------------------------------------------------------------------
-# galleries
-
-
-@dataclass(frozen=True, slots=True)
-class Gallery:
-    """Ordered list of crossed affine hyperplanes (positive root, level) along
-    a minimal gallery from the closed base alcove to w(A0)."""
-
-    crossings: tuple[tuple[Root, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.crossings)
-
-
-def _apply_to_hyperplane(
-    w: ExtAffineElt, beta: Root, level: int
-) -> tuple[Root, int]:
-    """Image of the hyperplane <x, beta^> = level under w, normalized to a
-    positive root."""
-    wbeta = w.fin.act_root(beta)
-    new_level = level + pairing(w.trans, wbeta)
-    if not wbeta.is_positive:
-        wbeta, new_level = wbeta.negate(), -new_level
-    return wbeta, new_level
+# walls of the base alcove, and folding into it
 
 
 @functools.cache
@@ -326,21 +288,6 @@ def alcove_element_of_point(
     return out
 
 
-def minimal_gallery(w: ExtAffineElt) -> Gallery:
-    """Crossed hyperplanes of the canonical reduced word, in crossing order."""
-    dec = omega_decompose(w)
-    word = _canonical_word_indices(dec.wa)
-    gens = coxeter_generators(w.datum)
-    walls = _generator_walls(w.datum)
-    crossings = []
-    prefix = ExtAffineElt.identity(w.datum)
-    for idx in word:
-        beta, level = walls[idx]
-        crossings.append(_apply_to_hyperplane(prefix, beta, level))
-        prefix = prefix * gens[idx][1]
-    return Gallery(tuple(crossings))
-
-
 # ---------------------------------------------------------------------------
 # region membership
 
@@ -361,10 +308,6 @@ def is_restricted_elt(w: ExtAffineElt) -> bool:
     within (0, n)."""
     n = w.datum.n
     return all(0 < v < n for v in _simple_pairings(w))
-
-
-def in_omega(w: ExtAffineElt) -> bool:
-    return length(w) == 0
 
 
 def w0_element(datum: RootDatum) -> ExtAffineElt:
@@ -536,14 +479,3 @@ def adm_eta(datum: RootDatum) -> frozenset[ExtAffineElt]:
         t = ExtAffineElt.from_translation(datum, w.act(datum.eta()))
         members.update(bruhat_interval(t))
     return frozenset(members)
-
-
-def adm_contains(datum: RootDatum, lam: WeightVec, w: ExtAffineElt) -> bool:
-    """Membership in Adm(lam) by direct Bruhat tests against the extreme
-    translations (no interval enumeration)."""
-    if not lam.is_dominant():
-        raise ValidationError("admissible sets are defined for dominant weights")
-    return any(
-        bruhat_leq(w, ExtAffineElt.from_translation(datum, v.act(lam)))
-        for v in all_weyl_elements(datum)
-    )

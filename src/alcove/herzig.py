@@ -194,10 +194,6 @@ def wobv(tau: TameParam) -> frozenset[SerreWeight]:
     return frozenset(wobv_with_presentations(tau))
 
 
-def is_extremal(sigma: SerreWeight, tau: TameParam) -> bool:
-    return sigma in wobv_with_presentations(tau)
-
-
 # ---------------------------------------------------------------------------
 # weight elimination
 
@@ -434,23 +430,6 @@ def enumerate_edges(tau: TameParam) -> list[ConnectionEdge]:
         R = DLPresentation(ExtAffineElt(datum, trans, s * fin))
         edges.append(ConnectionEdge(sigma=a, sigma2=b, R=R, alpha=alpha, w1=w1, w2=w2))
     return edges
-
-
-def connect(
-    sigma: SerreWeight, sigma2: SerreWeight, tau: TameParam
-) -> ConnectionEdge | None:
-    """A connecting edge between two distinct predicted weights, or None when
-    no factorization in the search space ties them (self-pairs are never
-    connected: the two designated outer weights always differ)."""
-    if sigma == sigma2:
-        return None
-    members = wset(tau)
-    if sigma not in members or sigma2 not in members:
-        raise ValidationError("connect requires both weights in the predicted set")
-    for edge in enumerate_edges(tau):
-        if {edge.sigma, edge.sigma2} == {sigma, sigma2}:
-            return edge
-    return None
 
 
 @dataclass(frozen=True)

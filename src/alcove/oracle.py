@@ -68,23 +68,6 @@ def hyperplane_count_length(w: ExtAffineElt) -> int:
     return total
 
 
-def separating_hyperplanes(w: ExtAffineElt) -> set[tuple[Root, int]]:
-    """Set of affine hyperplanes separating the open base alcove from w(A0),
-    computed from exact vertex evaluations."""
-    datum = w.datum
-    out: set[tuple[Root, int]] = set()
-    images = [w.act_weight(v) for v in datum.base_vertices()]
-    for beta in datum.positive_roots():
-        vals = [pairing(img, beta) for img in images]
-        lo, hi = min(vals), max(vals)
-        # image strip is (lo, hi) = (c, c+1); base strip is (0, 1)
-        if lo >= 1:
-            out.update((beta, k) for k in range(1, lo + 1))
-        elif hi <= 0:
-            out.update((beta, k) for k in range(hi, 1))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # brute-force Bruhat order
 

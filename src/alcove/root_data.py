@@ -124,10 +124,6 @@ class RootDatum:
     def positive_roots(self) -> tuple["Root", ...]:
         return _fixed_tables(self)[2]
 
-    def all_roots(self) -> list["Root"]:
-        pos = self.positive_roots()
-        return [*pos, *(Root(r.j, r.k, r.i) for r in pos)]
-
     def omega_alpha(self, alpha: "Root") -> "WeightVec":
         """Fundamental weight dual to the simple root alpha, fixed as
         (1, ..., 1, 0, ..., 0) in alpha's embedding (unique up to constants).
@@ -217,10 +213,6 @@ class WeightVec:
 
     def is_zero(self) -> bool:
         return all(a == 0 for row in self.entries for a in row)
-
-    def in_x0(self) -> bool:
-        """Membership in X^0: every embedding component is constant."""
-        return all(len(set(row)) == 1 for row in self.entries)
 
     def degrees(self) -> tuple[int, ...]:
         """Per-embedding coordinate sums (the class in X/ZR per factor)."""
@@ -367,21 +359,6 @@ def depth_of(datum: RootDatum, lam: WeightVec) -> int:
         for beta in datum.positive_roots()
     )
     return dist - 1
-
-
-def is_m_deep(datum: RootDatum, lam: WeightVec, m: int) -> bool:
-    return depth_of(datum, lam) >= m
-
-
-def alcove_of(datum: RootDatum, lam: WeightVec) -> tuple[int, ...]:
-    """p-alcove label of lam: floor(<lam+eta, a^>/p) over positive roots.
-    Requires lam off the affine walls."""
-    if depth_of(datum, lam) < 0:
-        raise ValidationError("weight lies on an affine wall; no p-alcove label")
-    shifted = lam + datum.eta()
-    return tuple(
-        pairing(shifted, beta) // datum.p for beta in datum.positive_roots()
-    )
 
 
 def in_lowest_alcove(datum: RootDatum, mu: WeightVec, depth: int = 0) -> bool:

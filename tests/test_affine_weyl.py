@@ -19,24 +19,20 @@ from alcove.affine_weyl import (
     _generator_walls,
     _lower_interval,
     _simple_pairings,
-    adm_contains,
     adm_eta,
     affine_reflection,
     bruhat_interval,
     bruhat_leq,
     coxeter_generators,
     diamond,
-    in_omega,
     is_dominant_elt,
     is_restricted_elt,
     length,
-    minimal_gallery,
     omega_decompose,
     omega_element,
     omega_generator,
     p_dot,
     reduced_word,
-    replay_word,
     restricted_reps,
     simple_reflection,
     up_leq,
@@ -55,11 +51,11 @@ from alcove.root_data import (
 )
 from alcove.oracle import (
     act_point,
+    brute_bruhat,
     brute_up,
     elements_of_length_leq,
     pair_point,
     sample_point,
-    separating_hyperplanes,
 )
 from alcove.weights_dl import SerreWeight, d_sigma
 
@@ -135,7 +131,6 @@ class TestLength:
 
     def test_omega_generator_has_length_zero(self, u2):
         assert length(u2) == 0
-        assert in_omega(u2)
 
     def test_basic_lengths(self, d2):
         assert length(elt(d2, [[1, 0]], [[1, 2]])) == 1
@@ -150,11 +145,21 @@ class TestReducedWords:
         assert reduced_word(ExtAffineElt.identity(d2)) == []
 
     def test_replay_reproduces(self, d2, d3):
+        # multiply the labels back: Coxeter generators, then omega^m@j
         for datum in (d2, d3):
+            by_label = dict(coxeter_generators(datum))
             for x in elements_of_length_leq(datum, 4):
                 word = reduced_word(x)
-                assert replay_word(datum, word) == x
-                assert len([w for w in word if not w.startswith("omega")]) == length(x)
+                letters = [w for w in word if not w.startswith("omega")]
+                degrees = [0] * datum.f
+                for label in word[len(letters):]:
+                    power, j = label[len("omega^"):].split("@")
+                    degrees[int(j)] = int(power)
+                replayed = ExtAffineElt.identity(datum)
+                for label in letters:
+                    replayed = replayed * by_label[label]
+                assert replayed * omega_element(datum, degrees) == x
+                assert len(letters) == length(x)
 
     @pytest.mark.parametrize(
         "nfp, max_length", [((3, 1, 37), 6), ((2, 2, 7), 6), ((4, 1, 23), 4)]
@@ -188,24 +193,6 @@ class TestReducedWords:
         assert dec.delta == u2
         assert length(dec.delta) == 0
         assert dec.wa * dec.delta == t10
-
-
-class TestGalleries:
-    def test_identity_gallery_empty(self, d2):
-        assert len(minimal_gallery(ExtAffineElt.identity(d2))) == 0
-
-    def test_length_one_single_wall(self, d2):
-        s0 = affine_reflection(d2, Root(0, 0, 1), 1)
-        gallery = minimal_gallery(s0)
-        assert len(gallery) == 1 == length(s0)
-
-    def test_gallery_is_minimal_and_separating(self, d3):
-        for x in elements_of_length_leq(d3, 4):
-            gallery = minimal_gallery(x)
-            crossings = list(gallery.crossings)
-            assert len(crossings) == length(x)
-            assert len(set(crossings)) == len(crossings)
-            assert set(crossings) == separating_hyperplanes(x)
 
 
 class TestBruhat:
@@ -331,7 +318,7 @@ class TestRegionMembership:
 
     def test_omega_generator_restricted(self, d2, u2):
         assert is_restricted_elt(u2)
-        assert in_omega(u2)
+        assert length(u2) == 0
 
     def test_w0_not_dominant(self, d3):
         assert not is_dominant_elt(w0_element(d3))
@@ -461,11 +448,20 @@ class TestRationalReference:
         assert checked > 0
 
 
+def in_adm_eta(datum, x):
+    """Reference membership in Adm(eta): the oracle's Bruhat order against
+    the translations t_{w(eta)}, with no interval enumeration."""
+    return any(
+        brute_bruhat(x, ExtAffineElt.from_translation(datum, w.act(datum.eta())))
+        for w in all_weyl_elements(datum)
+    )
+
+
 class TestAdmissible:
     def test_translations_belong(self, d2):
         for w in all_weyl_elements(d2):
             t = ExtAffineElt.from_translation(d2, w.act(d2.eta()))
-            assert adm_contains(d2, d2.eta(), t)
+            assert in_adm_eta(d2, t)
 
     def test_size_n2(self, d2):
         u = omega_generator(d2, 0)
@@ -474,12 +470,12 @@ class TestAdmissible:
         assert adm_eta(d2) == frozenset({t10, t01, u})
 
     def test_identity_not_member(self, d2):
-        assert not adm_contains(d2, d2.eta(), ExtAffineElt.identity(d2))
+        assert not in_adm_eta(d2, ExtAffineElt.identity(d2))
 
     def test_set_matches_predicate(self, d3):
         members = adm_eta(d3)
         for x in elements_of_length_leq(d3, 4, degrees=d3.eta().degrees()):
-            assert (x in members) == adm_contains(d3, d3.eta(), x)
+            assert (x in members) == in_adm_eta(d3, x)
 
 
 class TestPDot:
