@@ -51,7 +51,11 @@ MUTATION_NAMES = (
 )
 
 
-def _parse_rows(text: str, rows: int, cols: int, what: str) -> list[list[int]]:
+def _parse_rows(
+    text: str, rows: int, cols: int, what: str, one_line: bool = False
+) -> list[list[int]]:
+    """Integer groups joined by ';', entries comma-separated; with one_line
+    (permutations only), a group may also be written unseparated: "231"."""
     parts = text.split(";")
     if len(parts) != rows:
         raise ValidationError(
@@ -60,8 +64,8 @@ def _parse_rows(text: str, rows: int, cols: int, what: str) -> list[list[int]]:
     out = []
     for part in parts:
         entries = [x for x in part.replace(" ", "").split(",") if x]
-        if len(entries) == 1 and cols > 1 and entries[0].isdigit():
-            entries = list(entries[0])  # compact one-line permutations: "231"
+        if one_line and len(entries) == 1 and cols > 1 and entries[0].isdigit():
+            entries = list(entries[0])
         if len(entries) != cols:
             raise ValidationError(
                 f"{what}: expected {cols} entries per group, got {len(entries)}"
@@ -79,7 +83,7 @@ def _datum(args) -> RootDatum:
 
 def _tame_param(args, datum: RootDatum) -> TameParam:
     s = FiniteWeylElt.from_one_line(
-        datum, _parse_rows(args.s, datum.f, datum.n, "--s")
+        datum, _parse_rows(args.s, datum.f, datum.n, "--s", one_line=True)
     )
     mu = datum.weight(_parse_rows(args.mu, datum.f, datum.n, "--mu"))
     return TameParam(ExtAffineElt(datum, mu, s))

@@ -220,12 +220,15 @@ class TestEliminateCommand:
                 jsonschema.validate(bad, schema)
 
     def test_malformed_sigma_refused(self):
-        code, _, err = run_cli(
-            "eliminate", "--n", "2", "--f", "1", "--p", "7",
-            "--s", "21", "--mu", "5,1", "--sigma", "2",
-        )
-        assert code == EXIT_REFUSED
-        assert "refusal" in err
+        # only --s takes the unseparated one-line form, so "51" and "20" are
+        # one entry each, not (5,1) and (2,0)
+        for mu, sigma in (("5,1", "2"), ("51", "2,0"), ("5,1", "20")):
+            code, _, err = run_cli(
+                "eliminate", "--n", "2", "--f", "1", "--p", "7",
+                "--s", "21", "--mu", mu, "--sigma", sigma,
+            )
+            assert code == EXIT_REFUSED
+            assert "refusal" in err
 
 
 class TestArgumentParsing:
