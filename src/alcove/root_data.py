@@ -179,9 +179,6 @@ class Root:
     def is_simple(self) -> bool:
         return self.k == self.i + 1
 
-    def negate(self) -> "Root":
-        return Root(self.j, self.k, self.i)
-
 
 @dataclass(frozen=True, slots=True)
 class WeightVec:
@@ -220,13 +217,6 @@ class WeightVec:
 
     def in_root_lattice(self) -> bool:
         return all(d == 0 for d in self.degrees())
-
-    def is_dominant(self) -> bool:
-        return all(
-            row[i] >= row[i + 1]
-            for row in self.entries
-            for i in range(len(row) - 1)
-        )
 
     def to_json(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
