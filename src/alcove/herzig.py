@@ -92,6 +92,7 @@ def herzig_twist(sigma: SerreWeight) -> SerreWeight:
     return SerreWeight.from_weight(datum, lam)
 
 
+@functools.cache
 def wset_with_presentations(
     tau: TameParam,
 ) -> MappingProxyType[SerreWeight, SerrePresentation]:
@@ -99,13 +100,6 @@ def wset_with_presentations(
     presentation (w, omega) with t_mu s in t_omega W~_{<= w0 w}.  Returns one
     witnessing presentation per weight, as a read-only view of the memo."""
     _require_depth(tau, tau.datum.h_eta, "wset")
-    return _wset_with_presentations(tau)
-
-
-@functools.cache
-def _wset_with_presentations(
-    tau: TameParam,
-) -> MappingProxyType[SerreWeight, SerrePresentation]:
     datum = tau.datum
     mu, s = tau.elt.trans, tau.elt.fin
     out: dict[SerreWeight, SerrePresentation] = {}
@@ -165,19 +159,13 @@ def wset_by_definition(tau: TameParam) -> frozenset[SerreWeight]:
     )
 
 
+@functools.cache
 def wobv_with_presentations(
     tau: TameParam,
 ) -> MappingProxyType[SerreWeight, SerrePresentation]:
     """Extremal (obvious) weights: presentations with t_mu s in t_omega W w,
     as a read-only view of the memo."""
     _require_depth(tau, tau.datum.h_eta, "wobv")
-    return _wobv_with_presentations(tau)
-
-
-@functools.cache
-def _wobv_with_presentations(
-    tau: TameParam,
-) -> MappingProxyType[SerreWeight, SerrePresentation]:
     datum = tau.datum
     mu, s = tau.elt.trans, tau.elt.fin
     out: dict[SerreWeight, SerrePresentation] = {}

@@ -28,6 +28,7 @@ from . import weights_dl as wd
 from .affine_weyl import ExtAffineElt
 from .presentation_scan import (
     SCAN_BUDGET,
+    _weight_from_pattern,
     compare_with_scan,
     eta_c0_weights,
     scan_size,
@@ -72,24 +73,16 @@ def hyperplane_count_length(w: ExtAffineElt) -> int:
 # brute-force Bruhat order
 
 
-def _require_word_budget(w: ExtAffineElt) -> None:
+@functools.cache
+def all_reduced_words(w: ExtAffineElt) -> tuple[tuple[int, ...], ...]:
+    """Every reduced word of an affine Weyl group element, as tuples of
+    generator indices, found by peeling each left descent in turn.  Beyond
+    the word budget it raises BudgetError, and the memo stores nothing."""
     ell = hyperplane_count_length(w)
     if ell > ORACLE_LENGTH_BUDGET:
         raise BudgetError(
             f"length {ell} exceeds the oracle word budget {ORACLE_LENGTH_BUDGET}"
         )
-
-
-def all_reduced_words(w: ExtAffineElt):
-    """Every reduced word of an affine Weyl group element, as tuples of
-    generator indices, found by peeling each left descent in turn."""
-    _require_word_budget(w)
-    return _reduced_words(w)
-
-
-@functools.cache
-def _reduced_words(w: ExtAffineElt) -> tuple[tuple[int, ...], ...]:
-    ell = hyperplane_count_length(w)
     if ell == 0:
         if not w.is_identity():
             raise ValueError("length-zero element outside W_a")
@@ -98,25 +91,22 @@ def _reduced_words(w: ExtAffineElt) -> tuple[tuple[int, ...], ...]:
     for idx, (_, s) in enumerate(aw.coxeter_generators(w.datum)):
         shorter = s * w
         if hyperplane_count_length(shorter) == ell - 1:
-            for rest in _reduced_words(shorter):
+            for rest in all_reduced_words(shorter):
                 collected.append((idx,) + rest)
     return tuple(collected)
 
 
+@functools.cache
 def subword_closure(w: ExtAffineElt) -> frozenset:
     """Set of keys of all subword products of the reduced words of w.  The
     subword property makes the set independent of the word; that independence
-    is asserted across every word rather than assumed."""
-    _require_word_budget(w)
-    return _subword_closure(w)
-
-
-@functools.cache
-def _subword_closure(w: ExtAffineElt) -> frozenset:
+    is asserted across every word rather than assumed.  Refused, like
+    :func:`all_reduced_words`, beyond the word budget."""
+    words = all_reduced_words(w)
     gens = aw.coxeter_generators(w.datum)
     e = ExtAffineElt.identity(w.datum)
     closure: frozenset | None = None
-    for word in _reduced_words(w):
+    for word in words:
         elements = {e.key(): e}
         for idx in word:
             s = gens[idx][1]
@@ -430,7 +420,7 @@ def _deep_tau_samples(
     while len(out) < count and guard < 10000:
         guard += 1
         s = rng.choice(weyl)
-        rows = []
+        pattern, bases = [], []
         for _ in range(datum.f):
             diffs = [
                 rng.randint(depth + 1, datum.p - depth - 1)
@@ -438,17 +428,13 @@ def _deep_tau_samples(
             ]
             if sum(diffs) > datum.p - depth - 1:
                 break
-            base = rng.randint(0, datum.p - 2)
-            row = [base] * datum.n
-            for i in range(datum.n - 2, -1, -1):
-                row[i] = row[i + 1] + diffs[i]
-            rows.append(row)
-        if len(rows) < datum.f:
+            pattern.append(diffs)
+            bases.append(rng.randint(0, datum.p - 2))
+        if len(pattern) < datum.f:
             continue
-        mu = datum.weight(rows) + datum.eta()
-        tau = hz.TameParam(ExtAffineElt(datum, mu, s))
-        if (tau.lowest_alcove_depth() or -1) >= depth:
-            out.append(tau)
+        mu = _weight_from_pattern(datum, pattern, bases) + datum.eta()
+        if in_lowest_alcove(datum, mu, depth):
+            out.append(hz.TameParam(ExtAffineElt(datum, mu, s)))
     if len(out) < count:
         raise BudgetError(
             f"could not sample {count} parameters of depth {depth} at p={datum.p}"
@@ -820,7 +806,7 @@ def _sweep_wtintersect(datum: RootDatum, config: SweepConfig, res: SweepResult) 
         rho = hz.TameParam(
             ExtAffineElt.from_translation(datum, w.act(datum.eta())) * tau.elt
         )
-        if (rho.lowest_alcove_depth() or -1) >= datum.n - 1:
+        if in_lowest_alcove(datum, rho.mu, datum.n - 1):
             matched.append((rho, tau))
     pairs = list(zip(rhos, taus)) + matched
     for rho, tau in pairs:
@@ -871,13 +857,7 @@ def _restricted_weight_pool(datum: RootDatum) -> list[wd.SerreWeight]:
     rows = list(itertools.product(range(p), repeat=n - 1))
     digit_classes = range(p**f - 1)
     for pattern in itertools.product(rows, repeat=f):
-        base_rows = []
-        for j in range(f):
-            row = [0] * n
-            for i in range(n - 2, -1, -1):
-                row[i] = row[i + 1] + pattern[j][i]
-            base_rows.append(row)
-        base = datum.weight(base_rows)
+        base = _weight_from_pattern(datum, pattern, (0,) * f)
         if not is_p_restricted(datum, base):
             raise AssertionError("difference grid escaped the restricted region")
         # base has last entries 0, so the last entries of lam are the digits

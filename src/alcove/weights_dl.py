@@ -444,6 +444,7 @@ def _require_depth(x: DLPresentation, depth: int, what: str) -> None:
         )
 
 
+@functools.cache
 def jh_set(R: DLPresentation) -> frozenset[SerreWeight]:
     """Jordan-Holder factors of the reduction of R, by the admissible-set
     criterion: sigma has a presentation (w, omega) with the translated lower
@@ -453,29 +454,25 @@ def jh_set(R: DLPresentation) -> frozenset[SerreWeight]:
     alcove; shallower input is refused.
     """
     _require_depth(R, R.datum.h_eta, "jh_set")
-    return _jh_set(R)
-
-
-@functools.cache
-def _jh_set(R: DLPresentation) -> frozenset[SerreWeight]:
     datum = R.datum
     admissible = adm_eta(datum)
-    base_inv = R.elt.inverse()
     out = set()
     for rep, k, v, _ in _rep_maps(datum):
         top = w0_element(datum) * rep
         top_inv = top.inverse()
-        # t_omega top = t_mu s a for a in Adm(eta) with t_omega a translation
+        # t_omega top = t_mu s a for a in Adm(eta) with t_omega a translation;
+        # y = a top^{-1} has finite part s^{-1}, so t_omega = t_mu s y and the
+        # translated interval (t_mu s)^{-1} t_omega x is y x
         fin = R.s.inverse() * top.fin
         interval = bruhat_interval(top)
         for a in admissible:
             if a.fin != fin:
                 continue
-            omega = (R.elt * a * top_inv).trans
+            y = a * top_inv
+            omega = R.elt.act_weight(y.trans)
             if not in_lowest_alcove(datum, omega):
                 continue
-            shift = base_inv * ExtAffineElt.from_translation(datum, omega)
-            if all(shift * x in admissible for x in interval):
+            if all(y * x in admissible for x in interval):
                 out.add(SerreWeight.from_weight(datum, k + v.act(omega)))
     return frozenset(out)
 

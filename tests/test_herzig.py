@@ -273,8 +273,8 @@ class TestPerDatumTables:
         # per tau, wset, wobv and the edges read every weight off a table map
         first, fresh = _deep_tau_samples(d3, 2, 2 * d3.h_eta, random.Random(31))
         expected = [e.to_json() for e in enumerate_edges(first)]
-        herzig._wset_with_presentations.cache_clear()
-        herzig._wobv_with_presentations.cache_clear()
+        herzig.wset_with_presentations.cache_clear()
+        herzig.wobv_with_presentations.cache_clear()
 
         def refuse(*args, **kwargs):
             raise AssertionError("per-tau call into the outer presentation path")

@@ -18,8 +18,8 @@ from alcove.oracle import (
     MUTATIONS,
     ORACLE_LENGTH_BUDGET,
     SweepConfig,
+    _deep_tau_samples,
     _restricted_weight_pool,
-    _subword_closure,
     all_reduced_words,
     brute_bruhat,
     brute_up,
@@ -78,14 +78,16 @@ class TestBruteBruhat:
             brute_bruhat(ExtAffineElt.identity(d2), big)
 
     def test_budget_checked_before_cache(self, d2):
-        # the memo holds an element beyond the budget; the public call still
-        # refuses it
+        # the budget check runs inside the memo, and a call that raised is
+        # never stored, so the refusal repeats
         t = ExtAffineElt.from_translation(d2, d2.weight([[5, -5]]))
         wa = aw.omega_decompose(t).wa
         assert aw.length(wa) > ORACLE_LENGTH_BUDGET
-        assert _subword_closure(wa)
-        with pytest.raises(BudgetError):
-            subword_closure(wa)
+        before = subword_closure.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(BudgetError):
+                subword_closure(wa)
+        assert subword_closure.cache_info().currsize == before
 
     def test_word_count_and_closure(self, d3):
         t_eta = ExtAffineElt.from_translation(d3, d3.eta())
@@ -128,6 +130,14 @@ class TestRestrictedWeightPool:
         assert lams
         assert len(set(lams)) == len(lams)
         assert all(_canonical_omega(datum, lam) == lam for lam in lams)
+
+
+class TestDeepTauSamples:
+    def test_zero_deep_parameters_are_kept(self):
+        taus = _deep_tau_samples(RootDatum(3, 1, 19), 4, 0, random.Random(2024))
+        depths = [tau.lowest_alcove_depth() for tau in taus]
+        assert all(d is not None and d >= 0 for d in depths)
+        assert 0 in depths
 
 
 class TestSweeps:

@@ -420,6 +420,17 @@ class TestJHSet:
         with pytest.raises(DepthError):
             jh_set(dl(d2, [[2, 1]]))
 
+    @pytest.mark.parametrize("memo", [jh_set, wset_with_presentations])
+    def test_refused_call_is_not_stored(self, d2, memo):
+        # the depth check runs inside the memo, and a call that raised is
+        # never stored, so the refusal repeats
+        shallow = TameParam(dl(d2, [[2, 1]]).elt)
+        before = memo.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(DepthError):
+                memo(shallow)
+        assert memo.cache_info().currsize == before
+
     def test_rank_two_count(self, deep_r2):
         assert len(jh_set(deep_r2)) == 2
 
