@@ -67,7 +67,7 @@ from .weights_dl import (
     is_m_generic,
     jh_outer,
     jh_set,
-    jh_set_by_reflection,
+    jh_set_by_admissible,
     max_genericity,
     presentations_of,
 )

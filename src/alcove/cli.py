@@ -63,7 +63,7 @@ def _parse_rows(
         )
     out = []
     for part in parts:
-        entries = [x for x in part.replace(" ", "").split(",") if x]
+        entries = [x.strip() for x in part.split(",")]
         if one_line and len(entries) == 1 and cols > 1 and entries[0].isdigit():
             entries = list(entries[0])
         if len(entries) != cols:

@@ -49,6 +49,7 @@ from .weights_dl import (
     InvalidPresentationError,
     SerrePresentation,
     SerreWeight,
+    _first_witnesses,
     _outer_member,
     _outer_weight,
     _rep_maps,
@@ -102,29 +103,14 @@ def wset_with_presentations(
     _require_depth(tau, tau.datum.h_eta, "wset")
     datum = tau.datum
     mu, s = tau.elt.trans, tau.elt.fin
-    out: dict[SerreWeight, SerrePresentation] = {}
     table = _wset_table(datum)  # first: over budget it refuses before any rep is built
-    for (rep, k, v, _), by_fin in zip(_rep_maps(datum), table):
-        # x = t_nu s, so t_mu s x^{-1} = t_{mu - nu}
-        for nu in by_fin.get(s, ()):
-            omega = mu - nu
-            if in_lowest_alcove(datum, omega):
-                _keep_first_witness(out, rep, k, v, omega)
-    return MappingProxyType(out)
-
-
-def _keep_first_witness(
-    out: dict[SerreWeight, SerrePresentation],
-    rep: ExtAffineElt,
-    k: WeightVec,
-    v: FiniteWeylElt,
-    omega: WeightVec,
-) -> None:
-    """Record (rep, omega) as the witness of its weight k + v(omega) unless
-    that weight already has one; omega must lie over C0."""
-    sigma = SerreWeight.from_weight(rep.datum, k + v.act(omega))
-    if sigma not in out:
-        out[sigma] = SerrePresentation._prechecked(rep, omega)
+    # x = t_nu s, so t_mu s x^{-1} = t_{mu - nu}
+    candidates = (
+        (rep, k, v, mu - nu)
+        for (rep, k, v, _), by_fin in zip(_rep_maps(datum), table)
+        for nu in by_fin.get(s, ())
+    )
+    return MappingProxyType(_first_witnesses(datum, candidates))
 
 
 @functools.cache
@@ -168,14 +154,10 @@ def wobv_with_presentations(
     _require_depth(tau, tau.datum.h_eta, "wobv")
     datum = tau.datum
     mu, s = tau.elt.trans, tau.elt.fin
-    out: dict[SerreWeight, SerrePresentation] = {}
     # _rep_maps, not _wset_table: wobv builds no Bruhat interval, so it
     # answers where the intervals exceed their budget, e.g. at (4,2,41)
-    for rep, k, v, back in _rep_maps(datum):
-        omega = mu + s.act(back)
-        if in_lowest_alcove(datum, omega):
-            _keep_first_witness(out, rep, k, v, omega)
-    return MappingProxyType(out)
+    candidates = ((rep, k, v, mu + s.act(back)) for rep, k, v, back in _rep_maps(datum))
+    return MappingProxyType(_first_witnesses(datum, candidates))
 
 
 def wobv(tau: TameParam) -> frozenset[SerreWeight]:

@@ -662,8 +662,8 @@ def _sweep_jh_paths(datum: RootDatum, config: SweepConfig, res: SweepResult) -> 
     for tau in _deep_tau_samples(datum, config.tau_samples, datum.h_eta, rng):
         R = tau.as_dl()
         res.checked += 1
-        a = wd.jh_set(R)
-        b = wd.jh_set_by_reflection(R)
+        a = wd.jh_set_by_admissible(R)
+        b = wd.jh_set(R)
         if a != b:
             res.note(
                 {

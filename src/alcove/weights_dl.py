@@ -445,14 +445,53 @@ def _require_depth(x: DLPresentation, depth: int, what: str) -> None:
 
 
 @functools.cache
+def _jh_rows(datum: RootDatum) -> tuple[tuple, ...]:
+    """Per restricted rep w, in the order of :func:`_rep_maps`, and per
+    dominant u in the Bruhat interval below wh . w, the row (w, k, v,
+    u^{-1}(0)): R u^{-1} has translation part R(u^{-1}(0))."""
+    rows = []
+    for rep, k, v, _ in _rep_maps(datum):
+        bound = wh_element(datum) * rep
+        if not is_dominant_elt(bound):
+            raise AssertionError("wh . w left the dominant region")
+        for u in bruhat_interval(bound):
+            if is_dominant_elt(u):
+                rows.append((rep, k, v, u.inverse().trans))
+    return tuple(rows)
+
+
+def _first_witnesses(
+    datum: RootDatum, candidates
+) -> dict[SerreWeight, SerrePresentation]:
+    """Each weight k + v(omega) of the candidates (rep, k, v, omega) with
+    omega over C0, mapped to the first such presentation (rep, omega)."""
+    out: dict[SerreWeight, SerrePresentation] = {}
+    for rep, k, v, omega in candidates:
+        if in_lowest_alcove(datum, omega):
+            sigma = SerreWeight.from_weight(datum, k + v.act(omega))
+            if sigma not in out:
+                out[sigma] = SerrePresentation._prechecked(rep, omega)
+    return out
+
+
+@functools.cache
 def jh_set(R: DLPresentation) -> frozenset[SerreWeight]:
-    """Jordan-Holder factors of the reduction of R, by the admissible-set
-    criterion: sigma has a presentation (w, omega) with the translated lower
-    interval of w0 w inside t_mu s Adm(eta).
+    """Jordan-Holder factors of the reduction of R, by the raising-order
+    criterion: sigma has a presentation (w, omega) and there is a dominant u
+    below wh . w with t_omega in t_mu s u^{-1} W.
 
     Requires the given translation part to be h_eta-deep over the lowest
     alcove; shallower input is refused.
     """
+    _require_depth(R, R.datum.h_eta, "jh_set")
+    candidates = ((rep, k, v, R.elt.act_weight(c)) for rep, k, v, c in _jh_rows(R.datum))
+    return frozenset(_first_witnesses(R.datum, candidates))
+
+
+def jh_set_by_admissible(R: DLPresentation) -> frozenset[SerreWeight]:
+    """Jordan-Holder factors by the admissible-set criterion: sigma has a
+    presentation (w, omega) with the translated lower interval of w0 w inside
+    t_mu s Adm(eta).  Reference path for :func:`jh_set`."""
     _require_depth(R, R.datum.h_eta, "jh_set")
     datum = R.datum
     admissible = adm_eta(datum)
@@ -474,27 +513,6 @@ def jh_set(R: DLPresentation) -> frozenset[SerreWeight]:
                 continue
             if all(y * x in admissible for x in interval):
                 out.add(SerreWeight.from_weight(datum, k + v.act(omega)))
-    return frozenset(out)
-
-
-def jh_set_by_reflection(R: DLPresentation) -> frozenset[SerreWeight]:
-    """Jordan-Holder factors by the raising-order criterion: there are
-    (w, omega) and a dominant u with u below wh . w in the raising order and
-    t_omega in t_mu s u^{-1} W.  Cross-check path for :func:`jh_set`."""
-    datum = R.datum
-    _require_depth(R, datum.h_eta, "jh_set")
-    out = set()
-    for rep, k, v, _ in _rep_maps(datum):
-        bound = wh_element(datum) * rep
-        if not is_dominant_elt(bound):
-            raise AssertionError("wh . w left the dominant region")
-        for u in bruhat_interval(bound):
-            if not is_dominant_elt(u):
-                continue
-            omega = (R.elt * u.inverse()).trans
-            if not in_lowest_alcove(datum, omega):
-                continue
-            out.add(SerreWeight.from_weight(datum, k + v.act(omega)))
     return frozenset(out)
 
 

@@ -141,8 +141,8 @@ ELIMINATED_PER_TAU = 3
 PAIRS_PER_CONFIG = 12
 # admissible_pair runs on MATCHED_PER_TAU parameters t_{w(eta)} tau per tau
 MATCHED_PER_TAU = 2
-# wobv answers at (4,2,41), where the Bruhat intervals behind wset and the
-# graph exceed their budget
+# wobv and jh_set answer at (4,2,41), where the Bruhat intervals behind wset
+# and the graph exceed their budget
 WOBV_ONLY = (4, 2, 41)
 
 
@@ -252,7 +252,12 @@ def query_digests(nfp: tuple[int, int, int]) -> dict[str, str]:
         top = [30, 20, 10, 0]
         fin = FiniteWeylElt.from_one_line(datum, [[2, 3, 4, 1], [1, 2, 3, 4]])
         tau = TameParam(ExtAffineElt(datum, datum.weight([top, top]), fin))
-        return {"wobv_with_presentations": _digest([_presented(wobv_with_presentations(tau))])}
+        return {
+            "wobv_with_presentations": _digest([_presented(wobv_with_presentations(tau))]),
+            "jh_set": _digest(
+                [[s.to_json() for s in sorted(jh_set(tau.as_dl()), key=SerreWeight.sort_key)]]
+            ),
+        }
     taus = seeded_taus(nfp, QUERY_CONFIGS[nfp])
     graphs = [connectivity_graph(tau) for tau in taus]
     digests = {

@@ -128,6 +128,8 @@ class TestAcceptance:
             (2, 1, 13): (2, 2),
             (3, 1, 37): (9, 6),
             (2, 2, 7): (4, 4),
+            (4, 1, 23): (88, 24),
+            (3, 2, 37): (81, 36),
         }
         problems = []
         for (n, f, p), (wset_size, wobv_size) in expectations.items():

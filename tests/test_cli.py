@@ -220,12 +220,23 @@ class TestEliminateCommand:
                 jsonschema.validate(bad, schema)
 
     def test_malformed_sigma_refused(self):
-        # only --s takes the unseparated one-line form, so "51" and "20" are
-        # one entry each, not (5,1) and (2,0)
-        for mu, sigma in (("5,1", "2"), ("51", "2,0"), ("5,1", "20")):
+        rank_two = ("--n", "2", "--f", "1", "--p", "7", "--s", "21")
+        rank_three = ("--n", "3", "--f", "1", "--p", "37", "--s", "231")
+        cases = (
+            # only --s takes the unseparated one-line form, so "51" and "20"
+            # are one entry each, not (5,1) and (2,0)
+            (rank_two, "5,1", "2"),
+            (rank_two, "51", "2,0"),
+            (rank_two, "5,1", "20"),
+            # a space inside an entry, an empty entry and a trailing comma
+            # are refused, not read as (20,10,0)
+            (rank_three, "2 0,1 0,0", "30,15,2"),
+            (rank_three, "20,,10,0", "30,15,2"),
+            (rank_three, "20,10,0,", "30,15,2"),
+        )
+        for config, mu, sigma in cases:
             code, _, err = run_cli(
-                "eliminate", "--n", "2", "--f", "1", "--p", "7",
-                "--s", "21", "--mu", mu, "--sigma", sigma,
+                "eliminate", *config, "--mu", mu, "--sigma", sigma
             )
             assert code == EXIT_REFUSED
             assert "refusal" in err

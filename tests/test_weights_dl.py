@@ -18,12 +18,16 @@ from alcove.affine_weyl import (
 from alcove.herzig import (
     TameParam,
     _outer_lifts,
+    wobv,
     wobv_with_presentations,
+    wset,
+    wset_by_definition,
     wset_with_presentations,
 )
 from alcove.oracle import _deep_tau_samples, eta_c0_weights
 from alcove.presentation_scan import c0_presentations_by_scan
 from alcove.root_data import (
+    BudgetError,
     DepthError,
     FiniteWeylElt,
     RootDatum,
@@ -48,7 +52,7 @@ from alcove.weights_dl import (
     is_m_generic,
     jh_outer,
     jh_set,
-    jh_set_by_reflection,
+    jh_set_by_admissible,
     max_genericity,
     outer_family,
     presentations_of,
@@ -62,6 +66,23 @@ def dl(datum, rows, perm=None):
         else FiniteWeylElt.from_one_line(datum, perm)
     )
     return DLPresentation(ExtAffineElt(datum, datum.weight(rows), fin))
+
+
+def deep_box(datum):
+    """Every h_eta-deep R = t_mu s whose translation part has last entry 0
+    or 1 in each embedding."""
+    n, p, h = datum.n, datum.p, datum.h_eta
+    rows = []
+    for last in (0, 1):
+        for gaps in itertools.product(range(h + 1, p), repeat=n - 1):
+            rows.append(tuple(itertools.accumulate(reversed(gaps), initial=last))[::-1])
+    out = []
+    for fin in all_weyl_elements(datum):
+        for mu in itertools.product(rows, repeat=datum.f):
+            R = DLPresentation(ExtAffineElt(datum, WeightVec(mu), fin))
+            if (R.lowest_alcove_depth() or -1) >= h:
+                out.append(R)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -439,13 +460,49 @@ class TestJHSet:
 
     def test_paths_agree(self, deep_r2, deep_r3):
         for R in (deep_r2, deep_r3):
-            assert jh_set(R) == jh_set_by_reflection(R)
+            assert jh_set(R) == jh_set_by_admissible(R)
 
     def test_product_datum(self, d22):
         R = dl(d22, [[5, 1], [4, 0]])
         factors = jh_set(R)
         assert len(factors) == 4
-        assert factors == jh_set_by_reflection(R)
+        assert factors == jh_set_by_admissible(R)
+
+    @pytest.mark.parametrize("nfp", [(2, 3, 7), (4, 1, 23), (3, 2, 37)])
+    def test_paths_agree_on_seeded_parameters(self, nfp):
+        datum = RootDatum(*nfp)
+        for tau in _deep_tau_samples(datum, 3, datum.h_eta, random.Random(17)):
+            R = tau.as_dl()
+            assert jh_set(R) == jh_set_by_admissible(R)
+
+    @pytest.mark.parametrize("nfp,count", [((2, 2, 7), 256), ((3, 1, 13), 180)])
+    def test_paths_agree_on_a_box(self, nfp, count):
+        box = deep_box(RootDatum(*nfp))
+        assert len(box) == count
+        for R in box:
+            assert jh_set(R) == jh_set_by_admissible(R)
+
+    def test_answers_where_the_wset_intervals_exceed_their_budget(self):
+        # at (4,2,41) Adm(eta) and the intervals below w0 rep are too large;
+        # the intervals below wh rep are not
+        datum = RootDatum(4, 2, 41)
+        elt = ExtAffineElt(
+            datum,
+            datum.weight([[30, 20, 10, 0]] * 2),
+            FiniteWeylElt.from_one_line(datum, [[2, 3, 4, 1], [1, 2, 3, 4]]),
+        )
+        assert len(jh_set(DLPresentation(elt))) == 88**2
+        tau = TameParam(elt)
+        predicted = wset_by_definition(tau)
+        assert len(predicted) == 88**2
+        assert wobv(tau) <= predicted
+        with pytest.raises(BudgetError):
+            wset(tau)
+
+    def test_three_embeddings(self):
+        datum = RootDatum(3, 3, 37)
+        R = dl(datum, [[20, 10, 0]] * 3, perm=[[2, 3, 1], [1, 2, 3], [3, 1, 2]])
+        assert len(jh_set(R)) == 9**3
 
     def test_equal_presentations_equal_jh(self, d2):
         # the deep presentations of one representation differ by twists of
